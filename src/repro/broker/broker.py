@@ -65,7 +65,6 @@ class SummaryBroker:
         matcher: str = "reference",
         dedup_capacity: int = 4096,
         max_subscriptions: Optional[int] = None,
-        match_cache_size: int = 0,
         suppress_covered: bool = True,
     ):
         if matcher not in MATCHERS:
@@ -74,15 +73,10 @@ class SummaryBroker:
             )
         if dedup_capacity < 1:
             raise ValueError("dedup capacity must be positive")
-        if match_cache_size < 0:
-            raise ValueError("match cache size must be >= 0")
         self.broker_id = broker_id
         self.schema = schema
         self.precision = precision
         self.matcher = matcher
-        #: LRU entries of the compiled matcher's ``match_many`` cache
-        #: (0 disables caching; only meaningful with ``matcher="compiled"``).
-        self.match_cache_size = match_cache_size
         self.store = SubscriptionStore(schema, broker_id, max_subscriptions)
         self.on_delivery = on_delivery
         #: Lazily (re)built compiled snapshot of ``kept_summary`` when the
@@ -606,10 +600,8 @@ class SummaryBroker:
 
         The batched form of :meth:`match_kept`: with ``matcher="compiled"``
         it goes through :meth:`CompiledMatcher.match_many`, which amortizes
-        the staleness check over the batch and (with
-        ``match_cache_size > 0``) serves repeated events from an LRU that
-        a summary-generation bump fully evicts.  The reference matcher
-        falls back to a per-event walk — identical results either way.
+        the staleness check over the batch.  The reference matcher falls
+        back to a per-event walk — identical results either way.
         """
         self.events_examined += len(events)
         if self.matcher == "compiled":
@@ -625,9 +617,7 @@ class SummaryBroker:
         if compiled is None or compiled.summary is not self.kept_summary:
             # ``reset_merged_state`` swaps in a brand-new summary object;
             # rebind the snapshot to whatever is current.
-            compiled = self._compiled = CompiledMatcher(
-                self.kept_summary, cache_size=self.match_cache_size
-            )
+            compiled = self._compiled = CompiledMatcher(self.kept_summary)
         return compiled
 
     def _check_match_parity(self, fast: Set[SubscriptionId], event: Event) -> None:

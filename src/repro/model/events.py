@@ -26,25 +26,6 @@ from repro.model.types import AttributeType, AttributeValue, coerce_value
 
 __all__ = ["Event"]
 
-#: Interned (name, type) -> spec pairs.  Event construction from pairs or
-#: keywords re-creates the same handful of specs for every event of a
-#: workload; interning skips the per-instance name validation after the
-#: first sighting (the first construction still validates).  Bounded by a
-#: wholesale clear so a pathological caller cannot grow it without limit.
-_SPEC_INTERN: Dict[Tuple[str, "AttributeType"], AttributeSpec] = {}
-_SPEC_INTERN_LIMIT = 4096
-
-
-def _interned_spec(name: str, typ: "AttributeType") -> AttributeSpec:
-    key = (name, typ)
-    spec = _SPEC_INTERN.get(key)
-    if spec is None:
-        if len(_SPEC_INTERN) >= _SPEC_INTERN_LIMIT:
-            _SPEC_INTERN.clear()
-        spec = _SPEC_INTERN[key] = AttributeSpec(name, typ)
-    return spec
-
-
 class Event:
     """An immutable published event.
 
@@ -74,7 +55,7 @@ class Event:
         """Build an event inferring types from the Python values."""
         attributes: Dict[AttributeSpec, object] = {}
         for name, value in values.items():
-            attributes[_interned_spec(name, _infer_type(value))] = value
+            attributes[AttributeSpec(name, _infer_type(value))] = value
         return cls(attributes)
 
     @classmethod
@@ -82,7 +63,7 @@ class Event:
         cls, pairs: Iterable[Tuple[str, AttributeType, object]]
     ) -> "Event":
         """Build an event from explicit (name, type, value) triples."""
-        return cls({_interned_spec(name, typ): value for name, typ, value in pairs})
+        return cls({AttributeSpec(name, typ): value for name, typ, value in pairs})
 
     @classmethod
     def from_typed(

@@ -40,10 +40,8 @@ from repro.network.topology import Topology
 from repro.runtime.client import ProducerSession, SubscriberSession
 from repro.runtime.server import (
     DEFAULT_BATCH_FRAMES,
-    DEFAULT_MATCH_CACHE,
     DEFAULT_QUEUE_FRAMES,
     BrokerRuntime,
-    maybe_enable_uvloop,
     named_topology,
     warn_reference_matcher,
 )
@@ -65,7 +63,6 @@ class LocalCluster:
         precision: Precision = Precision.COARSE,
         value_width: ValueWidth = ValueWidth.F64,
         matcher: str = "compiled",
-        match_cache_size: int = DEFAULT_MATCH_CACHE,
         propagation_policy: TargetPolicy = TargetPolicy.HIGHEST_DEGREE,
         propagation_mode: str = "delta",
         suppress_covered: bool = True,
@@ -97,7 +94,6 @@ class LocalCluster:
             precision=precision,
             value_width=value_width,
             matcher=matcher,
-            match_cache_size=match_cache_size,
             propagation_policy=propagation_policy,
             propagation_mode=propagation_mode,
             suppress_covered=suppress_covered,
@@ -109,17 +105,9 @@ class LocalCluster:
             tracer=tracer,
             paranoid=paranoid,
         )
-        # All runtimes live in this process, so they share one message
-        # codec: the codec's event/frame memo caches then dedupe encode
-        # and decode work across hops (a real multi-process deployment
-        # keeps per-process codecs and per-process caches).
-        self.runtimes: Dict[int, BrokerRuntime] = {}
-        self._shared_codec = None
-        for broker_id in topology.brokers:
-            runtime = self._build_runtime(broker_id)
-            if self._shared_codec is None:
-                self._shared_codec = runtime.message_codec
-            self.runtimes[broker_id] = runtime
+        self.runtimes: Dict[int, BrokerRuntime] = {
+            broker_id: self._build_runtime(broker_id) for broker_id in topology.brokers
+        }
         self.addresses: Dict[int, Tuple[str, int]] = {}
         self._producers: List[ProducerSession] = []
         self._subscribers: List[SubscriberSession] = []
@@ -146,7 +134,6 @@ class LocalCluster:
                 broker_id,
                 self.topology,
                 self.schema,
-                message_codec=self._shared_codec,
                 epoch=epoch,
                 shards=shards,
                 **self._runtime_options,
@@ -155,7 +142,6 @@ class LocalCluster:
             broker_id,
             self.topology,
             self.schema,
-            message_codec=self._shared_codec,
             epoch=epoch,
             **self._runtime_options,
         )
@@ -517,7 +503,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.matcher == "reference":
         warn_reference_matcher("repro-cluster")
-    maybe_enable_uvloop()
     asyncio.run(_demo(args))
     return 0
 

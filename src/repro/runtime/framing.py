@@ -233,13 +233,13 @@ class FrameConnection:
     async def send(self, message: Message) -> None:
         await write_frame(self._writer, self.codec.encode(message), self.max_frame_bytes)
 
-    async def send_many(self, messages: Sequence[Message]) -> None:
-        """Encode and transmit many messages as one coalesced write."""
-        await write_frames(
-            self._writer,
-            [self.codec.encode(message) for message in messages],
-            self.max_frame_bytes,
-        )
+    async def send_many(self, messages: Sequence[Message]) -> List[int]:
+        """Encode and transmit many messages as one coalesced write;
+        returns each message's payload length (prefix excluded — the bytes
+        the simulator charges per hop)."""
+        payloads = [self.codec.encode(message) for message in messages]
+        await write_frames(self._writer, payloads, self.max_frame_bytes)
+        return [len(payload) for payload in payloads]
 
     async def _fill(self) -> bool:
         """One socket read into the assembler; False on EOF.

@@ -19,12 +19,18 @@ The first frame of a connection is a :class:`~repro.wire.messages
 
 **The outbox seam.**  Engine code is synchronous and talks to a network
 object with a blocking ``send``.  :class:`RuntimeNetwork` satisfies that
-interface by *buffering*: ``send`` records metrics (size x overlay path
-length, exactly the simulator's charging rule) and appends to an outbox.
-After every synchronously-handled frame the runtime drains the outbox onto
-per-peer :class:`PeerLink` queues **before reading the next frame** — the
-asyncio single-thread model guarantees no other handler runs between the
-dispatch and the drain, so engine sends are never reordered or lost.
+interface by *buffering*: ``send`` appends to an outbox.  After every
+synchronously-handled frame the runtime drains the outbox onto per-peer
+:class:`PeerLink` queues **before reading the next frame** — the asyncio
+single-thread model guarantees no other handler runs between the dispatch
+and the drain, so engine sends are never reordered or lost.
+
+**One encode per frame.**  A frame becomes bytes exactly once, in the
+lane writer's :meth:`FrameConnection.send_many`; the peer lane meters the
+payload lengths that call returns (size x overlay path length, exactly
+the simulator's charging rule).  Deliveries to one subscriber session
+that one dispatch produces for one event leave as a single NOTIFY whose
+``matched`` names every delivered id.
 
 **Backpressure.**  Every outbound queue (per peer link, per client
 session) is a bounded :class:`asyncio.Queue`.  A full queue blocks the
@@ -59,7 +65,6 @@ import asyncio
 import contextlib
 import itertools
 import logging
-import os
 import signal
 import sys
 from pathlib import Path
@@ -74,6 +79,7 @@ from repro.broker.propagation import (
     select_period_target,
 )
 from repro.broker.routing import EventRouter
+from repro.model.events import Event
 from repro.model.ids import IdCodec, SubscriptionId
 from repro.model.schema import Schema, SchemaError, stock_schema
 from repro.network.backbone import named_topology
@@ -110,11 +116,9 @@ __all__ = [
     "BrokerRuntime",
     "ClientSession",
     "DEFAULT_BATCH_FRAMES",
-    "DEFAULT_MATCH_CACHE",
     "DEFAULT_QUEUE_FRAMES",
     "PeerLink",
     "RuntimeNetwork",
-    "maybe_enable_uvloop",
     "named_topology",
     "warn_reference_matcher",
     "main",
@@ -133,78 +137,30 @@ DEFAULT_QUEUE_FRAMES = 256
 #: socket read may hand to the engines before the outbox is pumped.  Keeps
 #: latency for frames *behind* a burst bounded while still amortizing the
 #: per-dispatch overhead over many events.  Tail latency scales with this
-#: bound (one batch is one uninterruptible slice of event-loop time), so
-#: it is tuned against the p99 gate in ``benchmarks/test_live_throughput``.
+#: bound: one batch is one uninterruptible slice of event-loop time.
 DEFAULT_BATCH_FRAMES = 128
-
-#: Default :meth:`CompiledMatcher.match_many` LRU size on the live path
-#: (entries; 0 disables).  Repeated identical events — heartbeats, ticker
-#: re-publishes — skip Algorithm 1 entirely on a hit, and a summary
-#: generation bump evicts the whole cache, so staleness is impossible.
-DEFAULT_MATCH_CACHE = 512
 
 #: Default ``c2`` capacity (mirrors the simulator facade).
 DEFAULT_MAX_SUBSCRIPTIONS = 1 << 20
 
 
-#: One warning per process when ``REPRO_UVLOOP`` asks for a loop we cannot
-#: provide: the hook is called per runtime (a LocalCluster builds dozens),
-#: and repeating the same fallback warning for each would bury real logs.
-_uvloop_warned = False
-
-
-def maybe_enable_uvloop() -> bool:
-    """Install uvloop's event-loop policy when ``REPRO_UVLOOP`` is truthy.
-
-    Opt-in (and dependency-optional) by design: the stdlib loop is the
-    portable default, but on CPython + Linux uvloop's libuv reactor cuts
-    per-syscall overhead on exactly the read/write path the batched
-    runtime hammers.  Install it with the ``repro[uvloop]`` extra; when it
-    is absent the hook degrades gracefully — warn once, fall back to the
-    stdlib loop.  Returns True when uvloop is now the policy.
-    """
-    global _uvloop_warned
-    if os.environ.get("REPRO_UVLOOP", "").strip().lower() not in (
-        "1", "true", "yes", "on",
-    ):
-        return False
-    try:
-        import uvloop  # type: ignore[import-not-found]
-    except ImportError:
-        if not _uvloop_warned:
-            _uvloop_warned = True
-            log.warning(
-                "REPRO_UVLOOP is set but uvloop is not installed "
-                "(pip install 'repro[uvloop]'); falling back to the stdlib "
-                "event loop"
-            )
-        return False
-    uvloop.install()
-    log.info("uvloop event-loop policy installed (REPRO_UVLOOP)")
-    return True
-
-
 class RuntimeNetwork:
-    """The network object the engines see: charge metrics, buffer sends.
+    """The network object the engines see: buffer sends.
 
     Engine code (:class:`EventRouter`, the shared propagation policy) was
     written against the simulator's ``Network`` interface — ``topology``,
-    ``send(src, dst, message)``, ``run()``.  Here ``send`` charges the
-    same ``encoded_size x path_length`` the simulator does and appends
+    ``send(src, dst, message)``, ``run()``.  Here ``send`` appends
     ``(dst, message)`` to :attr:`outbox`; the runtime drains the outbox
-    onto real TCP links immediately after each synchronous dispatch.
-    ``run()`` is a no-op — delivery happens when the frames arrive.
+    onto real TCP links immediately after each synchronous dispatch, and
+    the link writer meters what it actually wrote.  ``run()`` is a no-op —
+    delivery happens when the frames arrive.
     """
 
-    def __init__(self, topology: Topology, codec: MessageCodec, metrics: NetworkMetrics):
+    def __init__(self, topology: Topology):
         self.topology = topology
-        self.codec = codec
-        self.metrics = metrics
         self.outbox: List[Tuple[int, Message]] = []
 
     def send(self, src: int, dst: int, message: Message) -> None:
-        size = self.codec.size(message)
-        self.metrics.record(src, dst, size, self.topology.path_length(src, dst))
         self.outbox.append((dst, message))
 
     def run(self) -> None:
@@ -233,6 +189,10 @@ class PeerLink:
     order is preserved, the bounded queue still backpressures producers,
     and a send failure accounts every frame of the failed batch as
     dropped (quiesce arithmetic must not wait for them).
+
+    **Metering.**  Bandwidth is charged here, per frame actually written:
+    the payload length ``send_many`` reports times the overlay path length
+    — the simulator's rule, without a second encode to learn the size.
     """
 
     def __init__(self, runtime: "BrokerRuntime", peer_id: int,
@@ -240,6 +200,7 @@ class PeerLink:
         self.runtime = runtime
         self.peer_id = peer_id
         self.address = address
+        self.path_length = runtime.topology.path_length(runtime.broker_id, peer_id)
         self.queue: "asyncio.Queue[Message]" = asyncio.Queue(maxsize=queue_frames)
         #: frames claimed by the writer but not yet on the wire — an abrupt
         #: kill must count them as dropped (they left the queue already).
@@ -292,8 +253,13 @@ class PeerLink:
                 self._stale = False
                 if conn is None:
                     conn = self._conn = await self._connect()
-                await conn.send_many(batch)
-                self.runtime.metrics.record_coalesced_write(len(batch))
+                sizes = await conn.send_many(batch)
+                metrics = self.runtime.metrics
+                for size in sizes:
+                    metrics.record(
+                        self.runtime.broker_id, self.peer_id, size, self.path_length
+                    )
+                metrics.record_coalesced_write(len(batch))
             except (ConnectionError, OSError, CodecError) as exc:
                 # TCP is reliable while up; a failure means the peer is
                 # down.  Count the losses (quiesce arithmetic must not
@@ -411,7 +377,6 @@ class BrokerRuntime:
         value_width: ValueWidth = ValueWidth.F64,
         max_subscriptions: int = DEFAULT_MAX_SUBSCRIPTIONS,
         matcher: str = "compiled",
-        match_cache_size: int = DEFAULT_MATCH_CACHE,
         dedup_capacity: int = 4096,
         propagation_policy: TargetPolicy = TargetPolicy.HIGHEST_DEGREE,
         propagation_mode: str = "delta",
@@ -425,7 +390,6 @@ class BrokerRuntime:
         tracer=None,
         paranoid: Optional[bool] = None,
         epoch: Optional[int] = None,
-        message_codec: Optional[MessageCodec] = None,
     ):
         if broker_id not in topology.brokers:
             raise ValueError(f"broker {broker_id} is not in the topology")
@@ -462,36 +426,16 @@ class BrokerRuntime:
             SummaryAuditor(schema) if self.paranoid else None
         )
 
-        if message_codec is not None:
-            # Shared-codec mode: an in-process cluster hands every runtime
-            # the same codec so the event/frame memo caches dedupe work
-            # across brokers (a forwarded event decodes once, not once per
-            # hop).  Sharing is only sound when the codec was built for an
-            # identical deployment, so verify instead of trusting.
-            wire = message_codec.wire
-            if (
-                wire.schema is not schema
-                or wire.value_width is not value_width
-                or wire.id_codec.num_brokers != topology.num_brokers
-                or wire.id_codec.max_subscriptions != max_subscriptions
-            ):
-                raise ValueError(
-                    "shared message_codec was built for a different deployment"
-                )
-            self.id_codec = wire.id_codec
-            self.wire = wire
-            self.message_codec = message_codec
-        else:
-            self.id_codec = IdCodec(
-                num_brokers=topology.num_brokers,
-                max_subscriptions=max_subscriptions,
-                num_attributes=len(schema),
-            )
-            self.wire = WireCodec(schema, self.id_codec, value_width)
-            self.message_codec = MessageCodec(self.wire)
+        self.id_codec = IdCodec(
+            num_brokers=topology.num_brokers,
+            max_subscriptions=max_subscriptions,
+            num_attributes=len(schema),
+        )
+        self.wire = WireCodec(schema, self.id_codec, value_width)
+        self.message_codec = MessageCodec(self.wire)
 
         self.metrics = NetworkMetrics()
-        self.network = RuntimeNetwork(topology, self.message_codec, self.metrics)
+        self.network = RuntimeNetwork(topology)
 
         self.broker = SummaryBroker(
             broker_id,
@@ -501,7 +445,6 @@ class BrokerRuntime:
             matcher=matcher,
             dedup_capacity=dedup_capacity,
             max_subscriptions=max_subscriptions,
-            match_cache_size=match_cache_size,
             suppress_covered=suppress_covered,
         )
         self.broker.tracer = self.tracer
@@ -515,7 +458,10 @@ class BrokerRuntime:
         self._links: Dict[int, PeerLink] = {}
         self._sessions: Set[ClientSession] = set()
         self._sid_sessions: Dict[SubscriptionId, ClientSession] = {}
-        self._client_outbox: List[Tuple[ClientSession, Message]] = []
+        #: Undelivered NOTIFYs as ``(session, event, sids)``; ``sids`` grows
+        #: while the entry is its session's newest (see :meth:`_on_delivery`).
+        self._client_outbox: List[Tuple[ClientSession, Event, List[SubscriptionId]]] = []
+        self._open_notifies: Dict[ClientSession, Tuple] = {}
         self._reader_tasks: Set[asyncio.Task] = set()
         self._server: Optional[asyncio.AbstractServer] = None
         self._period_task: Optional[asyncio.Task] = None
@@ -681,6 +627,7 @@ class BrokerRuntime:
         peer_batch = self.network.take_outbox()
         client_batch = self._client_outbox[:]
         self._client_outbox.clear()
+        self._open_notifies.clear()
         for dst, message in peer_batch:
             if dst not in self._peer_addresses:
                 # Standalone runtime (tests, single-broker tooling): the
@@ -695,8 +642,8 @@ class BrokerRuntime:
                 )
                 continue
             await self._link(dst).enqueue(message)
-        for session, message in client_batch:
-            await session.enqueue(message)
+        for session, event, sids in client_batch:
+            await session.enqueue(NotifyMessage(event=event, matched=frozenset(sids)))
 
     def _link(self, peer: int) -> PeerLink:
         link = self._links.get(peer)
@@ -710,15 +657,26 @@ class BrokerRuntime:
             link = self._links[peer] = PeerLink(self, peer, address, self.queue_frames)
         return link
 
-    def _on_delivery(self, broker_id: int, sid: SubscriptionId, event) -> None:
-        """Broker → consumer hand-off: buffer a NOTIFY for the owning
+    def _on_delivery(self, broker_id: int, sid: SubscriptionId, event: Event) -> None:
+        """Broker → consumer hand-off: buffer the delivery for the owning
         session (ids with no live session — e.g. restored from a snapshot —
-        stay visible in ``broker.deliveries``)."""
+        stay visible in ``broker.deliveries``).
+
+        One publish's deliveries arrive as one run in ascending sid order
+        (:meth:`SummaryBroker.deliver`), so a sid joins its session's newest
+        entry when that entry holds the same event object and a smaller
+        sid; anything else — another event, or the same object published
+        again — opens a new entry.  Each entry leaves as one NOTIFY.
+        """
         session = self._sid_sessions.get(sid)
-        if session is not None:
-            self._client_outbox.append(
-                (session, NotifyMessage(event=event, matched=frozenset((sid,))))
-            )
+        if session is None:
+            return
+        entry = self._open_notifies.get(session)
+        if entry is not None and entry[1] is event and entry[2][-1] < sid:
+            entry[2].append(sid)
+            return
+        entry = self._open_notifies[session] = (session, event, [sid])
+        self._client_outbox.append(entry)
 
     # -- inbound connections ---------------------------------------------------
 
@@ -1060,10 +1018,6 @@ class BrokerRuntime:
         registry.gauge("runtime.client_sessions").set(len(self._sessions))
         registry.gauge("runtime.subscriptions").set(len(self.broker.store))
         registry.gauge("runtime.batch_size").set(self.metrics.batch_size)
-        compiled = self.broker._compiled
-        if compiled is not None:
-            registry.gauge("runtime.match_cache_hits").set(compiled.cache_hits)
-            registry.gauge("runtime.match_cache_misses").set(compiled.cache_misses)
         return registry
 
     def __repr__(self) -> str:
@@ -1184,7 +1138,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.matcher == "reference":
         warn_reference_matcher("repro-broker")
-    maybe_enable_uvloop()
     try:
         asyncio.run(_serve(args))
     except KeyboardInterrupt:  # pragma: no cover - interactive only

@@ -149,11 +149,10 @@ class ShardPool:
     a thread write keeps the event loop free to drain replies.
     """
 
-    def __init__(self, shards: int, cache_size: int, stall_cb=None) -> None:
+    def __init__(self, shards: int, stall_cb=None) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
         self.shards = shards
-        self.cache_size = cache_size
         self._stall_cb = stall_cb
         self.handles: List[_ShardHandle] = []
         self.snapshot_broadcasts = 0
@@ -169,7 +168,7 @@ class ShardPool:
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             process = ctx.Process(
                 target=shard_worker_main,
-                args=(child_conn, index, self.cache_size),
+                args=(child_conn, index),
                 name=f"repro-shard-{index}",
                 daemon=True,
             )
@@ -390,11 +389,7 @@ class ShardedBrokerRuntime(BrokerRuntime):
     # -- lifecycle -------------------------------------------------------------
 
     async def start(self, port: int = 0) -> int:
-        pool = ShardPool(
-            self.shards,
-            self.broker.match_cache_size,
-            stall_cb=self.metrics.record_stall,
-        )
+        pool = ShardPool(self.shards, stall_cb=self.metrics.record_stall)
         await pool.start()
         self._pool = pool
         return await super().start(port)

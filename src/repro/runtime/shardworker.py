@@ -63,7 +63,7 @@ async def _wait_readable(conn: Connection) -> None:
         loop.remove_reader(conn.fileno())
 
 
-async def _worker_loop(conn: Connection, shard: int, cache_size: int) -> None:
+async def _worker_loop(conn: Connection, shard: int) -> None:
     matcher: CompiledMatcher | None = None
     fence = -1
     events_matched = 0
@@ -79,7 +79,7 @@ async def _worker_loop(conn: Connection, shard: int, cache_size: int) -> None:
             return
         if isinstance(frame, SnapshotFrame):
             summary = pickle.loads(frame.payload)
-            matcher = CompiledMatcher(summary, cache_size=cache_size)
+            matcher = CompiledMatcher(summary)
             fence = frame.fence
         elif isinstance(frame, MatchRequest):
             if matcher is None or frame.fence != fence:
@@ -101,10 +101,10 @@ async def _worker_loop(conn: Connection, shard: int, cache_size: int) -> None:
         # on them would turn a programming error into a hung acceptor.
 
 
-def shard_worker_main(conn: Connection, shard: int, cache_size: int) -> None:
+def shard_worker_main(conn: Connection, shard: int) -> None:
     """Spawn entry point (must stay module-level and picklable by name)."""
     try:
-        asyncio.run(_worker_loop(conn, shard, cache_size))
+        asyncio.run(_worker_loop(conn, shard))
     except KeyboardInterrupt:
         pass
     finally:

@@ -34,8 +34,8 @@ to sustain heavy event traffic.
 
 Snapshots self-invalidate: :class:`~repro.summary.summary.BrokerSummary`
 bumps a generation counter on every ``add``/``remove``/``merge``, and the
-compiled matcher lazily recompiles (and drops its :meth:`match_many` LRU
-cache) the next time it is asked to match after the generation moved.
+compiled matcher lazily recompiles the next time it is asked to match
+after the generation moved.
 
 Semantics are *identical* to the reference matcher by construction and by
 the differential harness (``tests/summary/test_compiled_differential.py``):
@@ -47,11 +47,9 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import OrderedDict
 from typing import (
     Callable,
     Dict,
-    FrozenSet,
     Iterable,
     List,
     Optional,
@@ -205,35 +203,17 @@ class CompiledMatcher:
 
     The snapshot is compiled lazily on first use and recompiled
     automatically whenever the underlying summary's generation counter
-    moves (``add``/``remove``/``merge``).  A recompile also evicts every
-    :meth:`match_many` cache entry, so a stale result can never be served.
-
-    ``cache_size`` > 0 enables an LRU cache for :meth:`match_many`, keyed
-    on the event's canonical attribute/value form (events hash and compare
-    by their sorted ``(name, type, value)`` triples).
+    moves (``add``/``remove``/``merge``), so a stale snapshot is never
+    matched against.
     """
 
     __slots__ = (
-        "_summary", "_cache_size", "_cache",
-        "_generation", "_ids", "_required", "_counters",
+        "_summary", "_generation", "_ids", "_required", "_counters",
         "_arith", "_strings",
-        "cache_hits", "cache_misses", "cache_evictions", "cache_invalidations",
     )
 
-    def __init__(self, summary: BrokerSummary, cache_size: int = 0):
-        if cache_size < 0:
-            raise ValueError("cache_size must be >= 0")
+    def __init__(self, summary: BrokerSummary):
         self._summary = summary
-        self._cache_size = cache_size
-        self._cache: "OrderedDict[Event, FrozenSet[SubscriptionId]]" = OrderedDict()
-        #: :meth:`match_many` lookups served from the LRU.
-        self.cache_hits = 0
-        #: :meth:`match_many` lookups that ran the full compiled match.
-        self.cache_misses = 0
-        #: entries dropped because the LRU exceeded ``cache_size``.
-        self.cache_evictions = 0
-        #: entries dropped wholesale by a generation-bump recompile.
-        self.cache_invalidations = 0
         self._generation = -1  # never equals a real generation: compiles lazily
         self._ids: List[SubscriptionId] = []
         self._required = array("I")
@@ -256,14 +236,6 @@ class CompiledMatcher:
     @property
     def is_stale(self) -> bool:
         return self._generation != self._summary.generation
-
-    @property
-    def cache_size(self) -> int:
-        return self._cache_size
-
-    def cached_events(self) -> int:
-        """Number of live :meth:`match_many` cache entries."""
-        return len(self._cache)
 
     def stats(self) -> CompiledStats:
         """Structure sizes of the current snapshot (compiles if stale)."""
@@ -326,8 +298,6 @@ class CompiledMatcher:
         self._arith = arith
         self._strings = strings
         self._generation = generation
-        self.cache_invalidations += len(self._cache)
-        self._cache.clear()  # a rebuild evicts every cached match result
 
     @staticmethod
     def _compile_arith(aacs, slots_of) -> _ArithTable:
@@ -390,33 +360,9 @@ class CompiledMatcher:
         return self._match_compiled(event)
 
     def match_many(self, events: Sequence[Event]) -> List[Set[SubscriptionId]]:
-        """Batch matching with an optional LRU cache over canonical events.
-
-        The cache (enabled with ``cache_size > 0``) is keyed on the event's
-        canonical value form and fully evicted whenever the snapshot
-        recompiles, so entries can never outlive the summary state they
-        were computed from.
-        """
+        """:meth:`match` over a batch, checking the snapshot once."""
         self._ensure_current()
-        if not self._cache_size:
-            return [self._match_compiled(event) for event in events]
-        cache = self._cache
-        results: List[Set[SubscriptionId]] = []
-        for event in events:
-            hit = cache.get(event)
-            if hit is not None:
-                cache.move_to_end(event)
-                self.cache_hits += 1
-                results.append(set(hit))
-                continue
-            matched = self._match_compiled(event)
-            self.cache_misses += 1
-            cache[event] = frozenset(matched)
-            if len(cache) > self._cache_size:
-                cache.popitem(last=False)
-                self.cache_evictions += 1
-            results.append(matched)
-        return results
+        return [self._match_compiled(event) for event in events]
 
     def _match_compiled(self, event: Event) -> Set[SubscriptionId]:
         counters = self._counters

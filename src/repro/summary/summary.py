@@ -187,11 +187,17 @@ class BrokerSummary:
         return found
 
     def merge(self, other: "BrokerSummary") -> None:
-        """Per-attribute union with another summary (section 4.1)."""
+        """Per-attribute union with another summary (section 4.1).
+
+        Merging an empty summary changes nothing, so it leaves the
+        generation alone: compiled snapshots stay current across quiet
+        propagation periods."""
         if other.schema != self.schema:
             raise SchemaError("cannot merge summaries over different schemas")
         if other.precision is not self.precision:
             raise ValueError("cannot merge summaries with different precision modes")
+        if other.is_empty:
+            return
         for name, structure in other._aacs.items():
             self._aacs_for(name).merge(structure)
         for name, structure in other._sacs.items():

@@ -28,7 +28,6 @@ from __future__ import annotations
 import enum
 import math
 import struct
-from collections import OrderedDict
 from typing import Dict, List, Set, Tuple
 
 from repro.model.constraints import Constraint, Operator
@@ -247,14 +246,6 @@ _PATTERN_GLOB = 0
 _PATTERN_NE = 1
 _PATTERN_CONJ = 2
 
-#: Entries kept in each of the per-codec event memo caches.  Events are
-#: immutable, so an (event -> bytes) and a (bytes -> event) memo are pure
-#: caches; the bound only limits memory on long-running brokers.  Routing
-#: re-encodes the same event on every BROCLI hop and every NOTIFY, and
-#: re-decodes the identical payload bytes at every receiving broker, so
-#: hit rates on the live hot path are high by construction.
-EVENT_CACHE_ENTRIES = 4096
-
 
 class WireCodec:
     """Schema-aware encoder/decoder for every on-wire entity."""
@@ -273,17 +264,10 @@ class WireCodec:
         self.schema = schema
         self.id_codec = id_codec
         self.value_width = value_width
-        self._encoded_events: "OrderedDict[Event, bytes]" = OrderedDict()
-        self._decoded_events: "OrderedDict[bytes, Event]" = OrderedDict()
 
     # -- events --------------------------------------------------------------
 
     def encode_event(self, event: Event) -> bytes:
-        cache = self._encoded_events
-        data = cache.get(event)
-        if data is not None:
-            cache.move_to_end(event)
-            return data
         writer = ByteWriter()
         writer.varint(len(event))
         for name, typ, value in event.items():
@@ -294,26 +278,14 @@ class WireCodec:
                 writer.zigzag(int(value))  # type: ignore[arg-type]
             else:
                 writer.float_value(float(value), self.value_width)  # type: ignore[arg-type]
-        data = writer.getvalue()
-        cache[event] = data
-        if len(cache) > EVENT_CACHE_ENTRIES:
-            cache.popitem(last=False)
-        return data
+        return writer.getvalue()
 
     @_decode_guard
     def decode_event(self, data: bytes) -> Event:
-        cache = self._decoded_events
-        event = cache.get(data)
-        if event is not None:
-            cache.move_to_end(data)
-            return event
         reader = ByteReader(data)
         event = self.read_event(reader)
         if not reader.at_end():
             raise CodecError(f"{reader.remaining} trailing bytes after event")
-        cache[data] = event
-        if len(cache) > EVENT_CACHE_ENTRIES:
-            cache.popitem(last=False)
         return event
 
     def read_event(self, reader: ByteReader) -> Event:

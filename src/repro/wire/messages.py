@@ -45,7 +45,6 @@ message union the simulator charges bytes for.
 from __future__ import annotations
 
 import enum
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import FrozenSet, Tuple, Union
 
@@ -342,9 +341,6 @@ Message = Union[
 ]
 
 
-#: Bound on the hot-frame encode memo (EVENT/NOTIFY frames only).
-HOT_FRAME_CACHE_ENTRIES = 4096
-
 #: Tag -> kind without the (slow) enum constructor on every frame.
 _KIND_BY_TAG = {kind.value: kind for kind in MessageKind}
 
@@ -354,33 +350,10 @@ class MessageCodec:
 
     def __init__(self, wire: WireCodec):
         self.wire = wire
-        # EVENT and NOTIFY frames are deeply immutable (frozen dataclass
-        # over an immutable Event and frozensets), so their encodings can
-        # be memoized: the routing layer sizes a frame for the bandwidth
-        # ledger and the writer loop encodes the same frame again moments
-        # later.  SUMMARY and SUMMARY_DELTA frames hold a *mutable*
-        # BrokerSummary (delta frames are built straight from live
-        # ``delta_summary`` state) and must never be cached — a stale
-        # memo entry would re-send pre-mutation bytes after a size() call.
-        self._hot_frames: "OrderedDict[Message, bytes]" = OrderedDict()
 
     # -- encoding --------------------------------------------------------------
 
     def encode(self, message: Message) -> bytes:
-        if isinstance(message, (EventMessage, NotifyMessage)):
-            cache = self._hot_frames
-            data = cache.get(message)
-            if data is not None:
-                cache.move_to_end(message)
-                return data
-            data = self._encode(message)
-            cache[message] = data
-            if len(cache) > HOT_FRAME_CACHE_ENTRIES:
-                cache.popitem(last=False)
-            return data
-        return self._encode(message)
-
-    def _encode(self, message: Message) -> bytes:
         writer = ByteWriter()
         writer.byte(int(message.kind))
         # EVENT and NOTIFY first: they dominate the live hot path.
@@ -557,5 +530,6 @@ class MessageCodec:
         return message
 
     def size(self, message: Message) -> int:
-        """Encoded length in bytes — what the simulator charges per hop."""
+        """Encoded length in bytes — what the simulator charges per hop
+        (the live runtime meters the bytes its lane writers encode)."""
         return len(self.encode(message))

@@ -6,13 +6,14 @@ import socket
 import pytest
 
 from repro.broker.system import SummaryPubSub
-from repro.model import parse_subscription, stock_schema
+from repro.model import Event, parse_subscription, stock_schema
 from repro.network import Topology
 from repro.network.topology import paper_example_tree
 from repro.runtime import cluster as cluster_cli
 from repro.runtime.cluster import LocalCluster
 from repro.runtime.server import BrokerRuntime, named_topology, parse_peers
 from repro.wire.codec import ValueWidth
+from repro.wire.messages import NotifyMessage
 from repro.workload.stocks import StockWorkload
 
 SCHEMA = stock_schema()
@@ -163,6 +164,45 @@ class TestCoordinatedPeriods:
             assert b.frames_dropped == 0
             await b.shutdown(drain=False)
             await a2.shutdown(drain=False)
+
+        asyncio.run(body())
+
+    def test_one_notify_per_session_per_event(self):
+        """Three overlapping subscriptions on one session, one event: the
+        session gets a single NOTIFY naming all three ids, and still
+        records three deliveries."""
+
+        async def body():
+            cluster = LocalCluster(Topology.line(2), SCHEMA)
+            await cluster.start()
+            try:
+                subscriber = await cluster.subscriber(0)
+                notifies = []
+                recv = subscriber._conn.recv
+
+                async def recording_recv():
+                    message = await recv()
+                    if isinstance(message, NotifyMessage):
+                        notifies.append(message)
+                    return message
+
+                subscriber._conn.recv = recording_recv
+                sids = set()
+                for text in (
+                    "symbol = OTE",
+                    "price > 8.0",
+                    "symbol = OTE AND price < 8.70 AND price > 8.30",
+                ):
+                    sids.add(await subscriber.subscribe(parse_subscription(SCHEMA, text)))
+                await cluster.run_propagation_period()
+
+                producer = await cluster.producer(1)
+                await producer.publish(Event.of(symbol="OTE", price=8.40))
+                await cluster.settle()
+                assert [n.matched for n in notifies] == [frozenset(sids)]
+                assert sorted(sid for sid, _e in subscriber.deliveries) == sorted(sids)
+            finally:
+                await cluster.stop(drain=False)
 
         asyncio.run(body())
 

@@ -12,9 +12,12 @@ from repro.runtime.framing import FrameConnection, write_frame
 from repro.runtime.server import BrokerRuntime, PeerLink
 from repro.wire.messages import (
     EventMessage,
+    MessageCodec,
+    NotifyMessage,
     PingMessage,
     SubAckMessage,
     SubscribeMessage,
+    SummaryRequestMessage,
 )
 
 
@@ -226,6 +229,78 @@ class TestBackpressure:
         run(body())
 
 
+class _RecordingWriter:
+    """A StreamWriter stand-in that keeps every byte written to it."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def write(self, data):
+        self.data.extend(data)
+
+    async def drain(self):
+        pass
+
+    def close(self):
+        pass
+
+    async def wait_closed(self):
+        pass
+
+    def get_extra_info(self, name):
+        return None
+
+
+class _OpenReader:
+    def at_eof(self):
+        return False
+
+
+class TestMetering:
+    def test_peer_lane_meters_each_written_frame_once(self):
+        """Bytes are charged where frames are written: per frame, the
+        payload length times the overlay path length, from the one encode
+        the writer performs."""
+
+        async def body():
+            runtime = BrokerRuntime(0, Topology.line(3), SCHEMA)
+            runtime.set_peers({2: ("127.0.0.1", 1)})
+            codec = runtime.message_codec
+            encoded = []
+            encode = codec.encode
+
+            def counting_encode(message):
+                encoded.append(message)
+                return encode(message)
+
+            codec.encode = counting_encode
+            writer = _RecordingWriter()
+            link = runtime._link(2)
+            link._conn = FrameConnection(_OpenReader(), writer, codec)
+            sid = runtime.broker.subscribe(parse_subscription(SCHEMA, SUB_TEXT))
+            frames = [
+                EventMessage(event=matching_event(), brocli=frozenset({0}), publish_id=7),
+                NotifyMessage(event=matching_event(), matched=frozenset({sid}), publish_id=7),
+                SummaryRequestMessage(generation=3),
+            ]
+            for frame in frames:
+                runtime.network.send(0, 2, frame)
+            # Sending only buffers: nothing is encoded or charged yet.
+            assert encoded == [] and runtime.metrics.messages == 0
+
+            await runtime._pump()
+            await link.flush()
+            assert encoded == frames  # one encode per frame written
+            sizes = [len(MessageCodec(runtime.wire).encode(f)) for f in frames]
+            assert runtime.metrics.messages == len(frames)
+            assert runtime.metrics.payload_bytes == sum(sizes)
+            assert runtime.metrics.bytes_sent == 2 * sum(sizes)  # two links
+            assert len(writer.data) == sum(sizes) + 4 * len(frames)
+            await link.close()
+
+        run(body())
+
+
 class TestPeriodMachinery:
     def test_act_targets_match_shared_policy(self):
         """The live act and the simulator's engine choose the same target."""
@@ -254,6 +329,26 @@ class TestPeriodMachinery:
             runtime.period_close()
             assert runtime.broker.pending == []
             assert sid in runtime.broker.kept_summary.all_ids()
+
+        run(body())
+
+    def test_quiet_period_keeps_the_compiled_snapshot(self):
+        """A period with nothing to fold leaves the kept summary's
+        generation alone, so the matcher is not recompiled."""
+
+        async def body():
+            runtime = BrokerRuntime(0, Topology.line(1), SCHEMA)
+            sid = runtime.broker.subscribe(parse_subscription(SCHEMA, SUB_TEXT))
+            await runtime.period_act()
+            runtime.period_close()
+            assert runtime.broker.match_kept_many([matching_event()]) == [{sid}]
+            compiled = runtime.broker._compiled
+            generation = compiled.generation
+
+            await runtime.period_act()  # nothing pending: an empty delta
+            runtime.period_close()
+            assert compiled.generation == generation
+            assert not compiled.is_stale
 
         run(body())
 

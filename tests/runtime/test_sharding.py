@@ -172,7 +172,7 @@ class TestShardPool:
         async def scenario():
             schema = stock_schema()
             summary = _tiny_summary(schema)
-            pool = ShardPool(2, 64)
+            pool = ShardPool(2)
             await pool.start()
             try:
                 await pool.broadcast_snapshot(1, pickle.dumps(summary))
@@ -196,7 +196,7 @@ class TestShardPool:
     def test_fence_violation_is_loud(self):
         async def scenario():
             schema = stock_schema()
-            pool = ShardPool(2, 0)
+            pool = ShardPool(2)
             await pool.start()
             try:
                 await pool.broadcast_snapshot(
@@ -222,7 +222,7 @@ class TestShardPool:
 
     def test_kill_terminates_workers(self):
         async def scenario():
-            pool = ShardPool(2, 0)
+            pool = ShardPool(2)
             await pool.start()
             pids = [handle.process.pid for handle in pool.handles]
             assert all(pid is not None for pid in pids)

@@ -2,9 +2,8 @@
 
 A compiled snapshot must never serve stale results: every mutation of the
 underlying :class:`BrokerSummary` (``add``/``remove``/``merge``) bumps its
-generation counter, the snapshot notices on the next match and lazily
-recompiles, and any :meth:`match_many` LRU entries computed against the old
-state are evicted wholesale.
+generation counter, and the snapshot notices on the next match (single
+or batched) and lazily recompiles.
 """
 
 import pytest
@@ -68,6 +67,16 @@ class TestGenerationCounter:
         generation = summary.generation
         assert not summary.remove(SubscriptionId(3, 9, 0b1))
         assert summary.generation == generation
+
+    def test_merging_empty_summary_does_not_bump(self, schema):
+        summary = BrokerSummary(schema)
+        summary.add(_price_sub(5.0), _sid(schema, _price_sub(5.0), 0))
+        compiled = CompiledMatcher(summary)
+        compiled.refresh()
+        generation = summary.generation
+        summary.merge(BrokerSummary(schema))
+        assert summary.generation == generation
+        assert not compiled.is_stale
 
 
 class TestStaleSnapshots:
@@ -141,46 +150,25 @@ class TestMatchManyCache:
         sub = _price_sub(5.0)
         sid = _sid(schema, sub, 0)
         summary.add(sub, sid)
-        compiled = CompiledMatcher(summary, cache_size=8)
+        compiled = CompiledMatcher(summary)
         event = Event.of(price=10.0)
 
         assert compiled.match_many([event, event]) == [{sid}, {sid}]
-        assert compiled.cached_events() == 1
 
-        summary.remove(sid)  # invalidates; cache must not survive
+        summary.remove(sid)  # invalidates: the next batch sees the removal
         assert compiled.match_many([event]) == [set()]
-        assert compiled.cached_events() == 1  # only the fresh entry remains
 
     def test_cache_hits_do_not_leak_mutable_state(self, schema):
         summary = BrokerSummary(schema)
         sub = _price_sub(5.0)
         sid = _sid(schema, sub, 0)
         summary.add(sub, sid)
-        compiled = CompiledMatcher(summary, cache_size=8)
+        compiled = CompiledMatcher(summary)
         event = Event.of(price=10.0)
         first, second = compiled.match_many([event, event])
-        first.clear()  # mutating a returned set must not poison the cache
+        first.clear()  # each result is its own set
         assert second == {sid}
         assert compiled.match_many([event]) == [{sid}]
-
-    def test_lru_eviction_respects_capacity(self, schema):
-        summary = BrokerSummary(schema)
-        sub = _price_sub(0.0)
-        summary.add(sub, _sid(schema, sub, 0))
-        compiled = CompiledMatcher(summary, cache_size=2)
-        events = [Event.of(price=float(i)) for i in range(1, 5)]
-        compiled.match_many(events)
-        assert compiled.cached_events() == 2
-
-    def test_cache_disabled_by_default(self, schema):
-        summary = BrokerSummary(schema)
-        compiled = CompiledMatcher(summary)
-        compiled.match_many([Event.of(price=1.0)])
-        assert compiled.cached_events() == 0
-
-    def test_negative_cache_size_rejected(self, schema):
-        with pytest.raises(ValueError):
-            CompiledMatcher(BrokerSummary(schema), cache_size=-1)
 
 
 class TestEmptySummary:

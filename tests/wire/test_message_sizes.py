@@ -1,11 +1,11 @@
-"""Size-accounting and cache-staleness regressions for the message codec.
+"""Size-accounting and staleness regressions for the message codec.
 
 The simulator charges every hop ``codec.size(message) x path_length``, so
 ``size()`` drifting from ``len(encode())`` for *any* kind silently skews
-every byte experiment (satellite: exhaustive differential below).  And
-because SUMMARY / SUMMARY_DELTA frames are built straight from the
-broker's *mutable* ``delta_summary``, neither the ``_hot_frames`` memo nor
-any other cache may ever return pre-mutation bytes for them.
+every byte experiment (exhaustive differential below).  And because
+SUMMARY / SUMMARY_DELTA frames are built straight from the broker's
+*mutable* ``delta_summary``, no encode may ever return pre-mutation bytes
+for them.
 """
 
 import pytest
@@ -101,8 +101,8 @@ class TestSizeMatchesEncode:
             assert codec.encode(decoded) == encoded, message.kind
 
     def test_size_then_encode_after_cache_hits(self, codec):
-        """Repeat the differential with warm caches: memo hits must return
-        the same bytes size() charged."""
+        """Repeat the differential: a second encode of the same frame
+        returns the bytes size() charged."""
         messages = build_every_kind(codec)
         first = [codec.size(m) for m in messages]
         for message, charged in zip(messages, first):
@@ -154,22 +154,13 @@ class TestNoStaleCachedFrames:
         decoded = codec.decode(encoded)
         assert set(decoded.adds.all_ids()) == set(summary.all_ids())
 
-    def test_hot_frame_memo_holds_only_immutable_kinds(self, codec):
-        """Whatever lands in the memo must be an EVENT/NOTIFY frame."""
-        for message in build_every_kind(codec):
-            codec.size(message)
-            codec.encode(message)
-        assert codec._hot_frames  # events/notifies did get memoized
-        for cached in codec._hot_frames:
-            assert isinstance(cached, (EventMessage, NotifyMessage))
-
     def test_event_memo_is_safe_because_events_are_immutable(self, codec):
-        """The event LRUs key on the Event value; equal events share bytes
-        and unequal events never collide."""
+        """Unequal events never share bytes, and the bytes decode back to
+        the event they came from."""
         event_a = Event.from_pairs([("price", AttributeType.FLOAT, 1.0)])
         event_b = Event.from_pairs([("price", AttributeType.FLOAT, 2.0)])
         message_a = EventMessage(event=event_a, brocli=frozenset(), publish_id=1)
         message_b = EventMessage(event=event_b, brocli=frozenset(), publish_id=1)
-        codec.size(message_a)  # warm the memo
+        codec.size(message_a)
         assert codec.encode(message_a) != codec.encode(message_b)
         assert codec.decode(codec.encode(message_b)).event == event_b
