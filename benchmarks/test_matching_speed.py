@@ -180,6 +180,7 @@ def test_compiled_speedup_claim(benchmark):
     n = len(events)
     speedup = reference_seconds / compiled_seconds
     benchmark.extra_info["subscriptions"] = size
+    benchmark.extra_info["signatures"] = compiled.stats().signatures
     benchmark.extra_info["compiled_events_per_sec"] = round(n / compiled_seconds)
     benchmark.extra_info["reference_events_per_sec"] = round(n / reference_seconds)
     benchmark.extra_info["naive_events_per_sec"] = round(n / naive_seconds)

@@ -200,7 +200,7 @@ def build_report(system: SummaryPubSub) -> SystemReport:
                 broker=broker_id,
                 local_subscriptions=len(broker.store),
                 events_examined=broker.events_examined,
-                deliveries=len(broker.deliveries),
+                deliveries=broker.delivered,
                 false_positive_notifies=broker.false_positive_notifies,
                 summary_bytes=system.wire.summary_size(broker.kept_summary),
                 knowledge_size=len(broker.merged_brokers),
@@ -239,7 +239,7 @@ def build_cluster_report(cluster) -> SystemReport:
                 broker=broker_id,
                 local_subscriptions=len(broker.store),
                 events_examined=broker.events_examined,
-                deliveries=len(broker.deliveries),
+                deliveries=broker.delivered,
                 false_positive_notifies=broker.false_positive_notifies,
                 summary_bytes=runtime.wire.summary_size(broker.kept_summary),
                 knowledge_size=len(broker.merged_brokers),

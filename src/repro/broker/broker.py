@@ -158,7 +158,8 @@ class SummaryBroker:
             self._frontier = SidCoveringIndex()
 
         # -- statistics --
-        self.deliveries: List[Tuple[SubscriptionId, Event]] = []
+        #: Consumer hand-offs so far; each one went to :attr:`on_delivery`.
+        self.delivered = 0
         self.false_positive_notifies = 0
         self.events_examined = 0
         self.duplicates_suppressed = 0
@@ -690,10 +691,11 @@ class SummaryBroker:
         else:
             confirmed = self.store.recheck(event, sids)
         self.false_positive_notifies += len(sids) - len(confirmed)
-        for sid in sorted(confirmed):
-            self.deliveries.append((sid, event))
-            if self.on_delivery is not None:
-                self.on_delivery(self.broker_id, sid, event)
+        self.delivered += len(confirmed)
+        on_delivery = self.on_delivery
+        if on_delivery is not None:
+            for sid in sorted(confirmed):
+                on_delivery(self.broker_id, sid, event)
         if confirmed and tracer.enabled:
             tracer.record(
                 "delivery", broker=self.broker_id, trace_id=publish_id,

@@ -321,8 +321,7 @@ class EventRouter:
         ids are suppressed through the same LRU, every event still walks
         its own steps 2–4, and only step 1 — the summary check — is
         batched through :meth:`SummaryBroker.match_kept_many` so the
-        compiled matcher amortizes staleness checks and serves its
-        ``match_many`` LRU across the burst.
+        compiled matcher checks its snapshot's staleness once per burst.
 
         Batching is sound because EVENT processing never mutates the
         kept summary or ``Merged_Brokers`` (only SUMMARY frames do, and

@@ -30,8 +30,8 @@ Invariants checked (per broker, against its kept multi-broker summary):
     widen, never narrow).  Arithmetic samples come from the satisfied
     interval set; string samples from the constraint operands.
 6.  **Compiled-snapshot accounting** — a fresh compiled snapshot must
-    intern exactly the summary's ids with per-slot thresholds equal to
-    ``popcount(c3)``.
+    give exactly the summary's ids a slot each, and its signature masks
+    must partition the slots by ``c3``.
 7.  **Dedup capacity** — the publish-id LRU tables never exceed their
     configured capacity.
 8.  **Removal tracking** — own ids queued for delta-mode removal
@@ -55,7 +55,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.model.constraints import Constraint, Operator
 from repro.model.ids import SubscriptionId
@@ -443,22 +443,20 @@ class SummaryAuditor:
             return  # rebinding happens lazily on the next match
         bid = broker.broker_id
         ids = compiled._ids
-        required = compiled._required
-        if len(ids) != len(required):
+        # Every slot sits in exactly one signature's members mask: the one
+        # whose c3 is the slot's own attribute mask.
+        expected: Dict[int, Set[int]] = {}
+        for slot, sid in enumerate(ids):
+            expected.setdefault(sid.attr_mask, set()).add(slot)
+        actual = {
+            c3: {slot for slot, bit in enumerate(bin(members)[:1:-1]) if bit == "1"}
+            for c3, members, _names in compiled._signatures
+        }
+        if len(actual) != len(compiled._signatures) or actual != expected:
             violations.append(Violation(
                 "compiled-accounting", bid,
-                f"compiled snapshot has {len(ids)} interned ids but "
-                f"{len(required)} thresholds",
+                "compiled signature masks do not partition the slots by c3",
             ))
-            return
-        for slot, sid in enumerate(ids):
-            if required[slot] != sid.attribute_count:
-                violations.append(Violation(
-                    "compiled-accounting", bid,
-                    f"slot {slot} threshold {required[slot]} != "
-                    f"popcount(c3) = {sid.attribute_count} for {sid}",
-                ))
-                break
         if set(ids) != broker.kept_summary.all_ids():
             violations.append(Violation(
                 "compiled-accounting", bid,

@@ -233,7 +233,7 @@ def collect_system_metrics(system, registry: Optional[MetricsRegistry] = None) -
         kept_ids += len(broker.kept_summary.all_ids())
         pending += len(broker.pending)
         examined += broker.events_examined
-        deliveries += len(broker.deliveries)
+        deliveries += broker.delivered
         false_positives += broker.false_positive_notifies
         suppressed += broker.duplicates_suppressed
     registry.gauge("broker.count").set(len(system.brokers))

@@ -17,17 +17,17 @@ Two layers:
     and returns a :class:`~repro.workload.scenarios.ScenarioOutcome`
     gated on the churn-aware oracle (``honor_chaos=True``).
 
-Delivery accounting across incarnations deserves a note.  Broker-side
-``broker.deliveries`` is the consumer hand-off ledger; when an incarnation
-is killed, its ledger is translated to ``(publish_serial, sub_serial)``
-pairs *at kill time*, using the sid map as of that incarnation — a later
-cold restart resets the broker's local-sid allocator, so raw sids are only
-meaningful per incarnation.  Warm restores keep both the sids and the
-allocator watermark (snapshots persist ``next_local_id``), so the map
-survives; cold restarts purge the dead broker's entries before any new
-subscription can re-mint an old sid.  A pair landing twice across any
-incarnation is a duplicate consumer delivery — the chaos gate requires
-zero.
+Delivery accounting across incarnations deserves a note.
+:meth:`LocalCluster.handoffs` is each incarnation's consumer hand-off
+ledger; when an incarnation is killed, its ledger is translated to
+``(publish_serial, sub_serial)`` pairs *at kill time*, using the sid map
+as of that incarnation — a later cold restart resets the broker's
+local-sid allocator, so raw sids are only meaningful per incarnation.
+Warm restores keep both the sids and the allocator watermark (snapshots
+persist ``next_local_id``), so the map survives; cold restarts purge the
+dead broker's entries before any new subscription can re-mint an old
+sid.  A pair landing twice across any incarnation is a duplicate consumer
+delivery — the chaos gate requires zero.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ async def _drive_scenario_live(
     def absorb(broker_id: int, runtime) -> None:
         """Fold one incarnation's delivery ledger into the outcome."""
         nonlocal duplicates
-        for sid, event in runtime.broker.deliveries:
+        for sid, event in cluster.handoffs(runtime):
             key = (event_serial[event], serial_by_sid[(broker_id, sid)])
             if key in achieved:
                 duplicates += 1

@@ -34,6 +34,8 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.broker.persistence import SnapshotCodec, snapshot_path
 from repro.broker.propagation import TargetPolicy
+from repro.model.events import Event
+from repro.model.ids import SubscriptionId
 from repro.model.schema import Schema, stock_schema
 from repro.network.metrics import NetworkMetrics
 from repro.network.topology import Topology
@@ -105,6 +107,8 @@ class LocalCluster:
             tracer=tracer,
             paranoid=paranoid,
         )
+        #: Consumer hand-offs per runtime incarnation (see :meth:`handoffs`).
+        self._handoffs: Dict[BrokerRuntime, List[Tuple[SubscriptionId, Event]]] = {}
         self.runtimes: Dict[int, BrokerRuntime] = {
             broker_id: self._build_runtime(broker_id) for broker_id in topology.brokers
         }
@@ -125,12 +129,13 @@ class LocalCluster:
 
     def _build_runtime(self, broker_id: int, epoch: Optional[int] = None) -> BrokerRuntime:
         """One broker runtime, sharded when the config says so (the spawn
-        cost is paid at ``start``, not here)."""
+        cost is paid at ``start``, not here), whose consumer hand-offs the
+        cluster records (see :meth:`handoffs`)."""
         shards = self._shards.get(broker_id, 1)
         if shards > 1:
             from repro.runtime.sharded import ShardedBrokerRuntime
 
-            return ShardedBrokerRuntime(
+            runtime: BrokerRuntime = ShardedBrokerRuntime(
                 broker_id,
                 self.topology,
                 self.schema,
@@ -138,13 +143,29 @@ class LocalCluster:
                 shards=shards,
                 **self._runtime_options,
             )
-        return BrokerRuntime(
-            broker_id,
-            self.topology,
-            self.schema,
-            epoch=epoch,
-            **self._runtime_options,
-        )
+        else:
+            runtime = BrokerRuntime(
+                broker_id,
+                self.topology,
+                self.schema,
+                epoch=epoch,
+                **self._runtime_options,
+            )
+        record = self._handoffs[runtime] = []
+        forward = runtime.broker.on_delivery
+
+        def keep(broker_id: int, sid: SubscriptionId, event: Event) -> None:
+            record.append((sid, event))
+            forward(broker_id, sid, event)
+
+        runtime.broker.on_delivery = keep
+        return runtime
+
+    def handoffs(self, runtime: BrokerRuntime) -> List[Tuple[SubscriptionId, Event]]:
+        """Every ``(sid, event)`` one runtime's broker handed to consumers,
+        in order — including ids no live session owns (e.g. restored from
+        a snapshot).  Killed incarnations keep their record."""
+        return self._handoffs[runtime]
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -231,8 +252,8 @@ class LocalCluster:
         sessions are closed and forgotten, and the stale address entry is
         deliberately *kept*: neighbours go on dialling the dead port, which
         is exactly the failure the reconnect/reroute machinery must absorb.
-        Returns the killed runtime — its engine objects (``broker
-        .deliveries`` above all) survive for post-mortem accounting.
+        Returns the killed runtime — its engine objects and its
+        :meth:`handoffs` record survive for post-mortem accounting.
         """
         runtime = self.runtimes.pop(broker_id)
         for session in self._sessions_by_broker.pop(broker_id, []):
@@ -406,7 +427,7 @@ class LocalCluster:
         return merged
 
     def total_deliveries(self) -> int:
-        return sum(len(r.broker.deliveries) for r in self.runtimes.values())
+        return sum(r.broker.delivered for r in self.runtimes.values())
 
     def __repr__(self) -> str:
         state = "started" if self._started else "cold"

@@ -660,7 +660,7 @@ class BrokerRuntime:
     def _on_delivery(self, broker_id: int, sid: SubscriptionId, event: Event) -> None:
         """Broker → consumer hand-off: buffer the delivery for the owning
         session (ids with no live session — e.g. restored from a snapshot —
-        stay visible in ``broker.deliveries``).
+        are counted in ``broker.delivered`` and go no further).
 
         One publish's deliveries arrive as one run in ascending sid order
         (:meth:`SummaryBroker.deliver`), so a sid joins its session's newest

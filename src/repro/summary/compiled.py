@@ -3,34 +3,46 @@
 :func:`repro.summary.matching.match_event` is the *reference* matcher: it
 walks the live AACS/SACS structures, allocating a fresh
 ``Set[SubscriptionId]`` per row union and a dict of counters per event.
-That is perfect for figure reproduction but wasteful on a hot path that has
-to sustain heavy event traffic.
+That is perfect for figure reproduction and as a test oracle, but
+wasteful on a hot path that has to sustain heavy event traffic.
 
 :class:`CompiledMatcher` snapshots a :class:`~repro.summary.summary
-.BrokerSummary` into flat, immutable lookup structures:
+.BrokerSummary` into flat, immutable lookup structures over Python ``int``
+bitmasks:
 
-* **id interning** — every distinct :class:`SubscriptionId` in the summary
-  is assigned a dense integer *slot*; row id-lists become tuples of slots,
-  and ``popcount(c3)`` (the per-subscription full-match threshold of
-  Algorithm 1, step 2) is precomputed into an ``array('I')`` indexed by
-  slot, so the per-event decision is an integer compare with no per-event
-  dict/set churn;
+* **slots** — every distinct :class:`SubscriptionId` in the summary is
+  assigned a bit position (*slot*).  Slots are laid out grouped by the
+  id's ``c3`` attribute mask, so each *signature* (distinct ``c3``) owns
+  one contiguous run of bits, its ``members`` mask;
 
 * **per arithmetic attribute** — the AACS sub-range partition is flattened
   into parallel sorted boundary arrays (``lo``/``hi``/openness) resolved
-  with :func:`bisect.bisect_right`, plus a sorted equality-key array whose
-  slot lists are pre-unioned with the slots of the range row containing the
-  key (so an exact-key hit needs no second lookup and never double-counts);
+  with :func:`bisect.bisect_right`, each row carrying the mask of its ids,
+  plus a sorted equality-key array whose masks are pre-ORed with the mask
+  of the range row containing the key (so an exact-key hit is one lookup);
 
 * **per string attribute** — literal (pure-equality) rows become a hash
-  table keyed by value; general rows are bucketed by their anchored prefix
-  (first character of the pattern head) or suffix (last character of the
-  tail) so an event value only evaluates the patterns that could possibly
-  match it, with a small residual list for unanchored patterns
-  (containment, not-equals, universal);
+  table from value to mask; general rows are bucketed by their anchored
+  prefix (first character of the pattern head) or suffix (last character
+  of the tail) so an event value only evaluates the patterns that could
+  possibly match it, with a small residual list for unanchored patterns
+  (containment, not-equals, universal).  The attribute's hit mask is the
+  OR of every admitted row's mask.
 
-* **candidate counting** — a preallocated ``array('I')`` counter indexed by
-  slot, reset via a touched-slot list, replaces the per-event counter dict.
+Matching is set algebra.  Algorithm 1 matches an id when the number of
+attributes whose rows admit it equals ``popcount(c3)``.  An id appears only
+in the rows of its own ``c3`` attributes, and a mask names each slot once
+per attribute, so that count reaches ``popcount(c3)`` exactly when the id
+sits in the hit mask of *every* attribute of its ``c3``.  The match is
+therefore::
+
+    OR over signatures c3 of (members[c3] AND hits[a] for every a in c3)
+
+with a short-circuit as soon as an AND comes out empty (or an attribute
+of ``c3`` has no hits).
+
+Masks are built in time linear in the row entries: bits are written into
+a ``bytearray`` and converted once with :meth:`int.from_bytes`.
 
 Snapshots self-invalidate: :class:`~repro.summary.summary.BrokerSummary`
 bumps a generation counter on every ``add``/``remove``/``merge``, and the
@@ -38,15 +50,16 @@ compiled matcher lazily recompiles the next time it is asked to match
 after the generation moved.
 
 Semantics are *identical* to the reference matcher by construction and by
-the differential harness (``tests/summary/test_compiled_differential.py``):
-for EXACT summaries both equal the naive ground truth; for COARSE both
-report the same superset.
+the differential harnesses (``tests/summary/test_compiled_differential.py``
+and ``tests/summary/test_compiled_population.py``): for EXACT summaries
+both equal the naive ground truth; for COARSE both report the same
+superset.
 """
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left, bisect_right
+from itertools import compress
 from typing import (
     Callable,
     Dict,
@@ -67,16 +80,25 @@ from repro.summary.summary import BrokerSummary
 __all__ = ["CompiledMatcher", "CompiledStats"]
 
 
-#: A predicate over event string values plus the slots it admits.
-_PatternEntry = Tuple[Callable[[str], bool], Tuple[int, ...]]
+#: A predicate over event string values plus the mask of slots it admits.
+_PatternEntry = Tuple[Callable[[str], bool], int]
+
+#: One signature: its ``c3`` mask, the mask of its member slots and the
+#: attribute names of ``c3``.
+_Signature = Tuple[int, int, Tuple[str, ...]]
+
+_BIT = bytes(1 << i for i in range(8))
+
+#: ``bytes.translate`` table turning ASCII binary digits into 0/1 bytes.
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class _ArithTable:
     """Flattened AACS for one attribute: boundary arrays + equality keys."""
 
     __slots__ = (
-        "lows", "highs", "lo_open", "hi_open", "row_slots",
-        "eq_keys", "eq_slots",
+        "lows", "highs", "lo_open", "hi_open", "row_masks",
+        "eq_keys", "eq_masks",
     )
 
     def __init__(
@@ -85,32 +107,32 @@ class _ArithTable:
         highs: List[float],
         lo_open: List[bool],
         hi_open: List[bool],
-        row_slots: List[Tuple[int, ...]],
+        row_masks: List[int],
         eq_keys: List[float],
-        eq_slots: List[Tuple[int, ...]],
+        eq_masks: List[int],
     ):
         self.lows = lows
         self.highs = highs
         self.lo_open = lo_open
         self.hi_open = hi_open
-        self.row_slots = row_slots
+        self.row_masks = row_masks
         self.eq_keys = eq_keys
-        self.eq_slots = eq_slots
+        self.eq_masks = eq_masks
 
-    def lookup(self, value: float) -> Optional[Tuple[int, ...]]:
-        """The (deduplicated) slot list admitted by ``value``, or None."""
+    def lookup(self, value: float) -> int:
+        """The mask of slots admitted by ``value`` (0 for none)."""
         eq_keys = self.eq_keys
         if eq_keys:
             j = bisect_left(eq_keys, value)
             if j < len(eq_keys) and eq_keys[j] == value:
-                # Pre-unioned with the containing range row at compile time.
-                return self.eq_slots[j]
+                # Pre-ORed with the containing range row at compile time.
+                return self.eq_masks[j]
         return self._row_lookup(value)
 
-    def _row_lookup(self, value: float) -> Optional[Tuple[int, ...]]:
+    def _row_lookup(self, value: float) -> int:
         lows = self.lows
         if not lows:
-            return None
+            return 0
         idx = bisect_right(lows, value) - 1
         # Rows are disjoint and sorted by (lo, lo_open); the containing row
         # has the greatest lo <= value, but an open lower bound equal to
@@ -124,8 +146,8 @@ class _ArithTable:
             hi = self.highs[j]
             if value > hi or (value == hi and self.hi_open[j]):
                 continue
-            return self.row_slots[j]
-        return None
+            return self.row_masks[j]
+        return 0
 
 
 class _StringTable:
@@ -141,7 +163,7 @@ class _StringTable:
 
     def __init__(
         self,
-        literals: Dict[str, Tuple[int, ...]],
+        literals: Dict[str, int],
         head_buckets: Dict[str, List[_PatternEntry]],
         tail_buckets: Dict[str, List[_PatternEntry]],
         unanchored: List[_PatternEntry],
@@ -151,37 +173,38 @@ class _StringTable:
         self.tail_buckets = tail_buckets
         self.unanchored = unanchored
 
-    def lookup(self, value: str) -> List[Tuple[int, ...]]:
-        """All slot lists admitted by ``value`` (may need deduplication)."""
-        hits: List[Tuple[int, ...]] = []
-        slots = self.literals.get(value)
-        if slots is not None:
-            hits.append(slots)
+    def lookup(self, value: str) -> int:
+        """The OR of the masks of every row admitting ``value``.
+
+        A slot in several admitting rows (e.g. a subscription with two
+        COARSE patterns) is one bit: the attribute counts once."""
+        mask = self.literals.get(value, 0)
         if value:
-            for matches, slots in self.head_buckets.get(value[0], ()):
+            for matches, bits in self.head_buckets.get(value[0], ()):
                 if matches(value):
-                    hits.append(slots)
-            for matches, slots in self.tail_buckets.get(value[-1], ()):
+                    mask |= bits
+            for matches, bits in self.tail_buckets.get(value[-1], ()):
                 if matches(value):
-                    hits.append(slots)
-        for matches, slots in self.unanchored:
+                    mask |= bits
+        for matches, bits in self.unanchored:
             if matches(value):
-                hits.append(slots)
-        return hits
+                mask |= bits
+        return mask
 
 
 class CompiledStats:
     """Size counters for one compiled snapshot (tests and benchmarks)."""
 
     __slots__ = (
-        "generation", "slots", "arithmetic_attributes", "string_attributes",
-        "range_rows", "equality_keys", "literal_rows", "anchored_patterns",
-        "unanchored_patterns",
+        "generation", "slots", "signatures", "arithmetic_attributes",
+        "string_attributes", "range_rows", "equality_keys", "literal_rows",
+        "anchored_patterns", "unanchored_patterns",
     )
 
     def __init__(self) -> None:
         self.generation = 0
         self.slots = 0
+        self.signatures = 0
         self.arithmetic_attributes = 0
         self.string_attributes = 0
         self.range_rows = 0
@@ -208,16 +231,15 @@ class CompiledMatcher:
     """
 
     __slots__ = (
-        "_summary", "_generation", "_ids", "_required", "_counters",
-        "_arith", "_strings",
+        "_summary", "_generation", "_ids", "_signatures", "_arith", "_strings",
     )
 
     def __init__(self, summary: BrokerSummary):
         self._summary = summary
         self._generation = -1  # never equals a real generation: compiles lazily
+        #: Slot -> id.
         self._ids: List[SubscriptionId] = []
-        self._required = array("I")
-        self._counters = array("I")
+        self._signatures: List[_Signature] = []
         self._arith: Dict[str, _ArithTable] = {}
         self._strings: Dict[str, _StringTable] = {}
 
@@ -243,6 +265,7 @@ class CompiledMatcher:
         stats = CompiledStats()
         stats.generation = self._generation
         stats.slots = len(self._ids)
+        stats.signatures = len(self._signatures)
         stats.arithmetic_attributes = len(self._arith)
         stats.string_attributes = len(self._strings)
         for table in self._arith.values():
@@ -272,76 +295,75 @@ class CompiledMatcher:
     def _compile(self) -> None:
         summary = self._summary
         generation = summary.generation  # snapshot before walking structures
-        id_to_slot: Dict[SubscriptionId, int] = {}
+        groups: Dict[int, List[SubscriptionId]] = {}
+        for sid in summary.all_ids():
+            groups.setdefault(sid.attr_mask, []).append(sid)
         ids: List[SubscriptionId] = []
+        signatures: List[_Signature] = []
+        for c3, group in groups.items():
+            members = ((1 << len(group)) - 1) << len(ids)
+            ids.extend(group)
+            names = tuple(summary.schema.names_from_mask(c3))
+            signatures.append((c3, members, names))
+        slot_of = dict(zip(ids, range(len(ids))))
 
-        def slots_of(sids: Iterable[SubscriptionId]) -> Tuple[int, ...]:
-            out = []
-            for sid in sorted(sids):
-                slot = id_to_slot.get(sid)
-                if slot is None:
-                    slot = id_to_slot[sid] = len(ids)
-                    ids.append(sid)
-                out.append(slot)
-            return tuple(out)
+        def mask_of(sids: Iterable[SubscriptionId]) -> int:
+            slots = [slot_of[sid] for sid in sids]
+            if not slots:
+                return 0
+            # Only the bytes between the lowest and highest slot: a short
+            # row costs its own span, not the width of the whole snapshot.
+            low = min(slots) >> 3
+            buf = bytearray((max(slots) >> 3) - low + 1)
+            for slot in slots:
+                buf[(slot >> 3) - low] |= _BIT[slot & 7]
+            return int.from_bytes(buf, "little") << (low << 3)
 
         arith: Dict[str, _ArithTable] = {}
         for name, aacs in summary.arithmetic_structures().items():
-            arith[name] = self._compile_arith(aacs, slots_of)
+            arith[name] = self._compile_arith(aacs, mask_of)
         strings: Dict[str, _StringTable] = {}
         for name, sacs in summary.string_structures().items():
-            strings[name] = self._compile_string(sacs, slots_of)
+            strings[name] = self._compile_string(sacs, mask_of)
 
         self._ids = ids
-        self._required = array("I", (sid.attribute_count for sid in ids))
-        self._counters = array("I", bytes(4 * len(ids)))  # zero-filled
+        self._signatures = signatures
         self._arith = arith
         self._strings = strings
         self._generation = generation
 
     @staticmethod
-    def _compile_arith(aacs, slots_of) -> _ArithTable:
+    def _compile_arith(aacs, mask_of) -> _ArithTable:
         rows = aacs.range_rows()  # sorted by (lo, lo_open), disjoint
         lows = [row.interval.lo for row in rows]
         highs = [row.interval.hi for row in rows]
         lo_open = [row.interval.lo_open for row in rows]
         hi_open = [row.interval.hi_open for row in rows]
-        row_slots = [slots_of(row.ids) for row in rows]
-        table = _ArithTable(lows, highs, lo_open, hi_open, row_slots, [], [])
-        eq_keys: List[float] = []
-        eq_slots: List[Tuple[int, ...]] = []
+        row_masks = [mask_of(row.ids) for row in rows]
+        table = _ArithTable(lows, highs, lo_open, hi_open, row_masks, [], [])
         for value, point_ids in aacs.equality_rows():  # sorted by value
-            merged = slots_of(point_ids)
-            # Pre-union with the containing range row (EXACT mode lets
-            # equality points fall inside rows) so a key hit resolves to a
-            # single already-deduplicated slot list.
-            row = table._row_lookup(value)
-            if row:
-                merged = tuple(sorted(set(merged) | set(row)))
-            eq_keys.append(value)
-            eq_slots.append(merged)
-        table.eq_keys = eq_keys
-        table.eq_slots = eq_slots
+            # OR in the containing range row (EXACT mode lets equality
+            # points fall inside rows) so a key hit is a single lookup.
+            table.eq_keys.append(value)
+            table.eq_masks.append(mask_of(point_ids) | table._row_lookup(value))
         return table
 
     @staticmethod
-    def _compile_string(sacs, slots_of) -> _StringTable:
-        literals: Dict[str, Tuple[int, ...]] = {}
+    def _compile_string(sacs, mask_of) -> _StringTable:
+        literals: Dict[str, int] = {}
         head_buckets: Dict[str, List[_PatternEntry]] = {}
         tail_buckets: Dict[str, List[_PatternEntry]] = {}
         unanchored: List[_PatternEntry] = []
         for row in sacs.rows():
             pattern = row.pattern
-            slots = slots_of(row.ids)
+            bits = mask_of(row.ids)
             if isinstance(pattern, GlobPattern) and pattern.is_literal:
                 # Distinct literal rows have distinct values by SACS
-                # construction, but stay safe under exotic inputs.
-                prior = literals.get(pattern.pieces[0])
-                if prior is not None:  # pragma: no cover - defensive
-                    slots = tuple(sorted(set(prior) | set(slots)))
-                literals[pattern.pieces[0]] = slots
+                # construction; OR keeps exotic inputs safe anyway.
+                value = pattern.pieces[0]
+                literals[value] = literals.get(value, 0) | bits
                 continue
-            entry: _PatternEntry = (pattern.matches, slots)
+            entry: _PatternEntry = (pattern.matches, bits)
             anchor = _anchor_of(pattern)
             if anchor is None:
                 unanchored.append(entry)
@@ -365,61 +387,52 @@ class CompiledMatcher:
         return [self._match_compiled(event) for event in events]
 
     def _match_compiled(self, event: Event) -> Set[SubscriptionId]:
-        counters = self._counters
-        touched: List[int] = []
         arith = self._arith
         strings = self._strings
+        hits: Dict[str, int] = {}
         for name, _type, value in event.items():
             table = arith.get(name)
             if table is not None:
                 try:
                     numeric = float(value)  # type: ignore[arg-type]
                 except (TypeError, ValueError) as exc:
-                    # Mirror BrokerSummary.collect_attribute_ids exactly —
-                    # but reset counters first so the matcher stays usable.
-                    for slot in touched:
-                        counters[slot] = 0
+                    # Mirror BrokerSummary.collect_attribute_ids exactly.
                     raise SchemaError(
                         f"event value {value!r} for arithmetic attribute "
                         f"{name!r} is not numeric"
                     ) from exc
-                slots = table.lookup(numeric)
-                if slots:
-                    for slot in slots:
-                        count = counters[slot]
-                        if not count:
-                            touched.append(slot)
-                        counters[slot] = count + 1
+                hits[name] = table.lookup(numeric)
                 continue
             stable = strings.get(name)
-            if stable is None:
-                continue  # attribute constrained by no summarized subscription
-            hits = stable.lookup(value)  # type: ignore[arg-type]
-            if not hits:
-                continue
-            if len(hits) == 1:
-                slots_iter: Iterable[int] = hits[0]
+            if stable is not None:
+                hits[name] = stable.lookup(value)  # type: ignore[arg-type]
+        matched = 0
+        for _c3, members, names in self._signatures:
+            for name in names:
+                members &= hits.get(name, 0)
+                if not members:
+                    break
             else:
-                # The same slot may appear in several rows of one attribute
-                # (e.g. a subscription with two COARSE patterns); Algorithm 1
-                # counts each attribute once, so deduplicate across hits.
-                dedup: Set[int] = set(hits[0])
-                for extra in hits[1:]:
-                    dedup.update(extra)
-                slots_iter = dedup
-            for slot in slots_iter:
-                count = counters[slot]
-                if not count:
-                    touched.append(slot)
-                counters[slot] = count + 1
-        matched: Set[SubscriptionId] = set()
+                matched |= members
+        return self._ids_of(matched)
+
+    def _ids_of(self, bits: int) -> Set[SubscriptionId]:
+        """The ids of the set slots of ``bits``."""
+        if not bits:
+            return set()
         ids = self._ids
-        required = self._required
-        for slot in touched:
-            if counters[slot] == required[slot]:
-                matched.add(ids[slot])
-            counters[slot] = 0  # reset only what this event touched
-        return matched
+        # Peeling the lowest bit costs per set bit, the digit pass per slot
+        # up to the highest set bit; on CPython 3.11 they cross near one
+        # set bit in ~24 slots.
+        if bits.bit_count() * 24 < bits.bit_length():
+            out = set()
+            while bits:
+                low = bits & -bits
+                out.add(ids[low.bit_length() - 1])
+                bits ^= low
+            return out
+        # Many hits: one C-level pass over the binary digits, lowest first.
+        return set(compress(ids, bin(bits)[:1:-1].encode().translate(_DIGITS)))
 
 
 def _anchor_of(pattern: StringPattern) -> Optional[Tuple[str, str]]:

@@ -12,7 +12,9 @@ Given an incoming event and a (possibly multi-broker) summary:
    owning broker — is the routing layer's job; see
    :mod:`repro.broker.routing`.)
 
-``match_event`` is the production path; ``match_event_detailed`` exposes the
+``match_event`` is the reference path: the test oracle of the compiled
+bitset matcher (:class:`repro.summary.compiled.CompiledMatcher`) that
+brokers run in production.  ``match_event_detailed`` exposes the
 intermediate per-attribute lists for tests and teaching examples, and
 :class:`NaiveMatcher` is the subscription-centric ground truth used to
 validate the summary-based matcher and as the comparison baseline for the

@@ -116,7 +116,7 @@ class TestDeliveryDedup:
         second = broker.deliver({sid}, event, publish_id=9)
         assert first == {sid}
         assert second == set()
-        assert len(broker.deliveries) == 1
+        assert broker.delivered == 1
 
     def test_same_event_new_publish_delivers_again(self, broker):
         """Two legitimate publishes of identical content both deliver —
@@ -125,11 +125,11 @@ class TestDeliveryDedup:
         sid = next(iter(broker.store.ids()))
         broker.deliver({sid}, event, publish_id=10)
         broker.deliver({sid}, event, publish_id=11)
-        assert len(broker.deliveries) == 2
+        assert broker.delivered == 2
 
     def test_unidentified_delivery_never_deduped(self, broker):
         event = Event.of(price=5.0)
         sid = next(iter(broker.store.ids()))
         broker.deliver({sid}, event)
         broker.deliver({sid}, event)
-        assert len(broker.deliveries) == 2
+        assert broker.delivered == 2

@@ -177,9 +177,17 @@ def test_compiled_accounting(schema, paper_subscriptions, paper_event):
         schema, paper_subscriptions, matcher="compiled"
     )
     broker.match_kept(paper_event)  # builds + binds the snapshot
-    broker._compiled._required[0] += 1  # threshold != popcount(c3)
-    violations = SummaryAuditor(schema).audit_broker(broker)
-    assert "compiled-accounting" in _checks(violations)
+    auditor = SummaryAuditor(schema)
+    assert "compiled-accounting" not in _checks(auditor.audit_broker(broker))
+    signatures = broker._compiled._signatures
+    assert len(signatures) == 2  # S1 and S2 constrain different attributes
+    c3, members, names = signatures[0]
+    signatures[0] = (c3, members & (members - 1), names)  # lose one slot
+    assert "compiled-accounting" in _checks(auditor.audit_broker(broker))
+    # The lost slot filed under the other signature, whose c3 is not its own.
+    other_c3, other, other_names = signatures[1]
+    signatures[1] = (other_c3, other | (members & -members), other_names)
+    assert "compiled-accounting" in _checks(auditor.audit_broker(broker))
 
 
 def test_merged_brokers_and_period_scratch(small_workload):

@@ -66,9 +66,10 @@ class TestDrainToSnapshot:
             await producer.publish(Event.of(symbol="OTE", price=9.99))
             await cluster.settle()
             # No live session owns the restored sid; the delivery is
-            # visible on the broker's consumer ledger.
+            # visible on the cluster's hand-off record.
             delivered = [
-                (d_sid, event.get("price")) for d_sid, event in restored.deliveries
+                (d_sid, event.get("price"))
+                for d_sid, event in cluster.handoffs(cluster.runtimes[3])
             ]
             await cluster.stop(drain=False)
             return delivered

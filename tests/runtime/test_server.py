@@ -1,6 +1,7 @@
 """BrokerRuntime behavior: sessions, backpressure, periods, protocol rules."""
 
 import asyncio
+from collections import deque
 
 import pytest
 
@@ -128,6 +129,75 @@ class TestClientFlow:
             await runtime.shutdown(drain=False)
 
         run(body())
+
+
+_CONTAINERS = (list, tuple, dict, set, frozenset, deque)
+
+
+def _retained(root, floor: int, depth: int = 6) -> list:
+    """Paths to containers of ``floor`` or more entries reachable from
+    ``root`` through attributes of ``repro`` objects and container items."""
+    found, seen = [], set()
+    stack = [(root, "root", 0)]
+    while stack:
+        obj, path, level = stack.pop()
+        if id(obj) in seen or level > depth:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, _CONTAINERS):
+            if len(obj) >= floor:
+                found.append(path)
+            items = obj.values() if isinstance(obj, dict) else obj
+            stack.extend((item, f"{path}[]", level + 1) for item in items)
+        elif type(obj).__module__.startswith("repro."):
+            state = dict(getattr(obj, "__dict__", {}))
+            for name in getattr(type(obj), "__slots__", ()):
+                if hasattr(obj, name):
+                    state[name] = getattr(obj, name)
+            stack.extend(
+                (value, f"{path}.{name}", level + 1) for name, value in state.items()
+            )
+    return found
+
+
+class TestNoRetainedDeliveries:
+    def test_runtime_keeps_nothing_per_delivery(self):
+        """A broker runtime counts its consumer hand-offs and forwards each
+        one; after 1,000 deliveries nothing it holds grew with them (the
+        publish-id dedup tables are bounded LRUs, sized below the floor)."""
+
+        async def body():
+            runtime = BrokerRuntime(0, Topology.line(1), SCHEMA, dedup_capacity=256)
+            await runtime.start(0)
+            subscriber = await SubscriberSession.connect(
+                "127.0.0.1", runtime.port, runtime.message_codec
+            )
+            await subscriber.subscribe(parse_subscription(SCHEMA, SUB_TEXT))
+            await runtime.period_act()
+            runtime.period_close()
+            producer = await ProducerSession.connect(
+                "127.0.0.1", runtime.port, runtime.message_codec
+            )
+            for start in range(0, 1000, 250):
+                await producer.publish_many([
+                    Event.of(symbol="OTE", price=8.31 + 0.0003 * i)
+                    for i in range(start, start + 250)
+                ])
+            await producer.flush()
+            await subscriber.flush()
+            delivered = runtime.broker.delivered
+            retained = _retained(runtime, 1000)
+            # The scan does find a per-delivery list where one exists.
+            client_side = _retained(subscriber, 1000)
+            await producer.close()
+            await subscriber.close()
+            await runtime.shutdown(drain=False)
+            return delivered, retained, client_side
+
+        delivered, retained, client_side = run(body())
+        assert delivered == 1000
+        assert retained == []
+        assert client_side == ["root.deliveries"]
 
 
 class TestProtocolRules:
