@@ -2,12 +2,11 @@
 cluster.
 
 >=10k publishes go through a 4-broker TCP cluster whose brokers all share
-one event loop, single-process and sharded.  The soak asserts that it
-finishes, drops no frame and delivers, and prints events/sec plus the
-p50/p99 publish->notify pipeline latency taken from the shared
-:class:`~repro.obs.tracing.Tracer` (the router records a ``publish`` span
-at the origin broker and a ``notify`` event at each consumer, keyed by the
-cluster-unique publish id).
+one event loop.  The soak asserts that it finishes, drops no frame and
+delivers, and prints events/sec plus the p50/p99 publish->notify pipeline
+latency taken from the shared :class:`~repro.obs.tracing.Tracer` (the
+router records a ``publish`` span at the origin broker and a ``notify``
+event at each consumer, keyed by the cluster-unique publish id).
 
 The printed numbers are a report, not a gate: brokers sharing one loop,
 one heap and one collector are not how the system is deployed.  The
@@ -25,7 +24,6 @@ Run directly (not part of tier-1)::
 """
 
 import asyncio
-import os
 import time
 
 import pytest
@@ -42,26 +40,20 @@ SUBS_PER_BROKER = 8
 SEED = 42
 SOAK_TIMEOUT = 300.0  # the no-deadlock guarantee, enforced hard
 
-#: Workers per broker in the sharded soak.
-SHARDS = 4 if (os.cpu_count() or 1) >= 4 else 2
-
 
 def percentile(sorted_values, fraction):
     index = min(len(sorted_values) - 1, int(fraction * len(sorted_values)))
     return sorted_values[index]
 
 
-def run_soak(tracer: Tracer, *, shards=None):
-    """The windowed-producer soak body, shared by the single-process and
-    sharded variants; returns ``(elapsed, notified, metrics, dropped,
-    shard_batches)``."""
+def run_soak(tracer: Tracer):
+    """The windowed-producer soak body; returns ``(elapsed, notified,
+    metrics, dropped)``."""
     topology = Topology.line(4)
     workload = StockWorkload(seed=SEED)
 
     async def soak():
-        cluster = LocalCluster(
-            topology, workload.schema, tracer=tracer, shards=shards
-        )
+        cluster = LocalCluster(topology, workload.schema, tracer=tracer)
         await cluster.start()
         try:
             for broker_id in topology.brokers:
@@ -101,12 +93,7 @@ def run_soak(tracer: Tracer, *, shards=None):
             notified = sum(len(s.deliveries) for s in cluster._subscribers)
             metrics = cluster.metrics()
             dropped = sum(r.frames_dropped for r in cluster.runtimes.values())
-            shard_batches = sum(
-                sum(handle.batches for handle in runtime._pool.handles)
-                for runtime in cluster.runtimes.values()
-                if hasattr(runtime, "_pool")
-            )
-            return elapsed, notified, metrics, dropped, shard_batches
+            return elapsed, notified, metrics, dropped
         finally:
             await cluster.stop(drain=False)
 
@@ -134,13 +121,10 @@ def pipeline_latencies_ms(tracer: Tracer):
     )
 
 
-def soak_and_report(label: str, shards=None) -> int:
-    """Run one soak, assert it was clean, print the report; returns the
-    number of batches the shard workers matched."""
+def soak_and_report(label: str) -> None:
+    """Run one soak, assert it was clean, print the report."""
     tracer = Tracer()
-    elapsed, notified, metrics, dropped, shard_batches = run_soak(
-        tracer, shards=shards
-    )
+    elapsed, notified, metrics, dropped = run_soak(tracer)
     latencies_ms = pipeline_latencies_ms(tracer)
     assert notified >= len(latencies_ms) > 0, "soak matched nothing"
     assert latencies_ms[0] >= 0.0
@@ -152,18 +136,9 @@ def soak_and_report(label: str, shards=None) -> int:
         f"p99={percentile(latencies_ms, 0.99):.3f}ms; "
         f"{metrics.backpressure_stalls} backpressure stalls"
     )
-    return shard_batches
 
 
 @pytest.mark.slow
 def test_soak_10k_publishes_4_brokers():
     soak_and_report("live soak")
 
-
-@pytest.mark.slow
-def test_sharded_soak():
-    """The same soak with every broker running as
-    :class:`ShardedBrokerRuntime`: matching must actually reach the
-    workers, with no drop and no deadlock."""
-    shard_batches = soak_and_report(f"sharded soak (x{SHARDS} shards)", SHARDS)
-    assert shard_batches > 0, "no batch ever reached a shard worker"

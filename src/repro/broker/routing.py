@@ -349,28 +349,11 @@ class EventRouter:
             matched_sets = broker.match_kept_many(
                 [event for event, _brocli, _pid in fresh_items]
             )
-        self.route_matched(broker, fresh_items, matched_sets)
-
-    def route_matched(
-        self,
-        broker: SummaryBroker,
-        items: Sequence[Tuple[Event, FrozenSet[int], int]],
-        matched_sets: Sequence[Set[SubscriptionId]],
-    ) -> None:
-        """Steps 2–4 of Algorithm 3 for items whose step-1 summary check
-        already ran: update BROCLI, notify owners, forward the search.
-
-        The caller guarantees ``items`` passed the ``first_routing_of``
-        dedup and that ``matched_sets[i]`` is the kept-summary match for
-        ``items[i]``.  Split out of :meth:`process_batch` so the sharded
-        runtime — whose step 1 runs in worker processes — reuses the exact
-        routing decisions the single-process paths take.
-        """
         merged = broker.merged_brokers
         own = broker.broker_id
         all_brokers = self._all_brokers
         for (event, brocli_in, publish_id), matched in zip(
-            items, matched_sets
+            fresh_items, matched_sets
         ):
             brocli = brocli_in | merged | {own}
             fresh = {sid for sid in matched if sid.broker not in brocli_in}

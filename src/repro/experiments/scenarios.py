@@ -42,26 +42,14 @@ SIM_GATE = 1.0
 LIVE_GATE = 0.99
 
 
-def run_one(
-    name: str, substrate: str, *, shards: Optional[int] = None, **overrides
-) -> ScenarioOutcome:
-    """Run one named scenario on one substrate and return its outcome.
-
-    ``shards`` (live substrate only) runs every broker in the cluster as a
-    :class:`~repro.runtime.sharded.ShardedBrokerRuntime` with that many
-    matcher worker processes — the scenario gates are substrate-level
-    invariants and must hold identically for the multicore deployment.
-    """
+def run_one(name: str, substrate: str, **overrides) -> ScenarioOutcome:
+    """Run one named scenario on one substrate and return its outcome."""
     config = scenario_config(name, **overrides)
     if substrate == "sim":
-        if shards:
-            raise ValueError("shards only applies to the live substrate")
         return run_scenario_sim(config)
     if substrate == "live":
         from repro.runtime.chaos import run_scenario_live
 
-        if shards:
-            return run_scenario_live(config, shards=shards)
         return run_scenario_live(config)
     raise ValueError(f"unknown substrate {substrate!r} (sim | live)")
 
@@ -171,25 +159,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="simulator (exact oracle) or live cluster (chaos gate)",
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        metavar="N",
-        help="live substrate only: run brokers as sharded multicore "
-        "runtimes with N matcher worker processes each",
-    )
-    parser.add_argument(
         "--report-out",
         metavar="PATH",
         help="write per-scenario JSON outcomes to this file",
     )
     args = parser.parse_args(argv)
-    if args.shards and args.substrate != "live":
-        parser.error("--shards requires --substrate live")
     names = args.scenario or sorted(SCENARIOS)
 
     reports, failures = [], []
     for name in names:
-        outcome = run_one(name, args.substrate, shards=args.shards)
+        outcome = run_one(name, args.substrate)
         problems = check_gate(outcome)
         reports.append(outcome_report(outcome) | {"gate_failures": problems})
         failures += [f"{name}/{args.substrate}: {p}" for p in problems]

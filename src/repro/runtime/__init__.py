@@ -13,10 +13,7 @@ same propagation target policy, the same
 * :mod:`repro.runtime.client` — producer/subscriber sessions with the
   PING/PONG completion barrier;
 * :mod:`repro.runtime.cluster` — :class:`LocalCluster`, a whole overlay
-  on localhost ports with simulator-faithful coordinated periods;
-* :mod:`repro.runtime.sharded` — :class:`ShardedBrokerRuntime`, the
-  multicore broker: acceptor-owned control plane, summary matching fanned
-  to one worker process per core under snapshot fencing (docs §9).
+  on localhost ports with simulator-faithful coordinated periods.
 
 Console entry points: ``repro-broker`` (one broker) and ``repro-cluster``
 (a demo overlay).  See docs/architecture.md section 7 for the live-vs-
@@ -36,7 +33,6 @@ from repro.runtime.framing import (
     read_frame,
     write_frame,
 )
-from repro.runtime.sharded import ShardedBrokerRuntime, shard_for
 from repro.runtime.server import (
     BrokerRuntime,
     ClientSession,
@@ -59,13 +55,11 @@ __all__ = [
     "PeerLink",
     "ProducerSession",
     "RuntimeNetwork",
-    "ShardedBrokerRuntime",
     "SubscribeError",
     "SubscriberSession",
     "encode_frame",
     "named_topology",
     "read_frame",
     "run_scenario_live",
-    "shard_for",
     "write_frame",
 ]

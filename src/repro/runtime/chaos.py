@@ -115,10 +115,10 @@ class ChaosController:
 
 
 async def _drive_scenario_live(
-    config: ScenarioConfig, snapshot_dir: Path, **cluster_options
+    config: ScenarioConfig, snapshot_dir: Path
 ) -> ScenarioOutcome:
     script = build_script(config)
-    cluster = LocalCluster(script.topology, script.schema, **cluster_options)
+    cluster = LocalCluster(script.topology, script.schema)
     controller = ChaosController(cluster, snapshot_dir)
     event_serial = {pub.event: pub.serial for pub in script.pubs}
     sid_by_serial: Dict[int, SubscriptionId] = {}
@@ -237,17 +237,15 @@ def run_scenario_live(
     config: ScenarioConfig,
     *,
     snapshot_dir: Optional[str] = None,
-    **cluster_options,
 ) -> ScenarioOutcome:
     """Execute one scenario config against a real ``LocalCluster``.
 
     Synchronous wrapper (owns its event loop).  ``snapshot_dir`` is where
     chaos snapshots land; a temporary directory is used when omitted.
-    Extra keyword arguments go to the ``LocalCluster`` constructor.
     """
 
     async def body(directory: Path) -> ScenarioOutcome:
-        return await _drive_scenario_live(config, directory, **cluster_options)
+        return await _drive_scenario_live(config, directory)
 
     if snapshot_dir is not None:
         return asyncio.run(body(Path(snapshot_dir)))

@@ -30,7 +30,7 @@ import argparse
 import asyncio
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.broker.persistence import SnapshotCodec, snapshot_path
 from repro.broker.propagation import TargetPolicy
@@ -75,23 +75,11 @@ class LocalCluster:
         host: str = "127.0.0.1",
         tracer=None,
         paranoid: Optional[bool] = None,
-        shards: Union[int, None, Dict[int, int]] = None,
     ):
         self.topology = topology
         self.schema = schema
         self.host = host
         self.snapshot_dir = Path(snapshot_dir) if snapshot_dir is not None else None
-        #: ``shards``: None/1 boots plain single-process runtimes; an int
-        #: boots every broker as a :class:`ShardedBrokerRuntime` with that
-        #: many workers; a ``{broker_id: n}`` mapping shards only the named
-        #: brokers (n > 1).  Preserved across ``restart_broker`` — a
-        #: restarted sharded broker comes back sharded.
-        if isinstance(shards, dict):
-            self._shards = dict(shards)
-        elif shards is None or shards <= 1:
-            self._shards = {}
-        else:
-            self._shards = {broker_id: shards for broker_id in topology.brokers}
         self._runtime_options = dict(
             precision=precision,
             value_width=value_width,
@@ -128,29 +116,15 @@ class LocalCluster:
         self._chaos_dirty = False
 
     def _build_runtime(self, broker_id: int, epoch: Optional[int] = None) -> BrokerRuntime:
-        """One broker runtime, sharded when the config says so (the spawn
-        cost is paid at ``start``, not here), whose consumer hand-offs the
-        cluster records (see :meth:`handoffs`)."""
-        shards = self._shards.get(broker_id, 1)
-        if shards > 1:
-            from repro.runtime.sharded import ShardedBrokerRuntime
-
-            runtime: BrokerRuntime = ShardedBrokerRuntime(
-                broker_id,
-                self.topology,
-                self.schema,
-                epoch=epoch,
-                shards=shards,
-                **self._runtime_options,
-            )
-        else:
-            runtime = BrokerRuntime(
-                broker_id,
-                self.topology,
-                self.schema,
-                epoch=epoch,
-                **self._runtime_options,
-            )
+        """One broker runtime whose consumer hand-offs the cluster records
+        (see :meth:`handoffs`)."""
+        runtime = BrokerRuntime(
+            broker_id,
+            self.topology,
+            self.schema,
+            epoch=epoch,
+            **self._runtime_options,
+        )
         record = self._handoffs[runtime] = []
         forward = runtime.broker.on_delivery
 
@@ -466,9 +440,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "incremental SUMMARY_DELTA with generation "
                              "chaining; 'full' re-ships whole summaries)")
     parser.add_argument("--paranoid", action="store_true")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="worker processes per broker for the match hot "
-                             "path (1 = single-process brokers)")
     return parser
 
 
@@ -482,7 +453,6 @@ async def _demo(args: argparse.Namespace) -> None:
         snapshot_dir=args.snapshot_dir,
         propagation_mode=args.propagation_mode,
         paranoid=True if args.paranoid else None,
-        shards=args.shards,
     )
     await cluster.start()
     print(f"cluster up: {topology!r}", flush=True)

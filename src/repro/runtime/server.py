@@ -734,7 +734,7 @@ class BrokerRuntime:
                         (m.event, m.brocli, m.publish_id)
                         for m in burst[index:end]
                     ]
-                    await self._process_burst(items)
+                    self._process_burst(items)
                     index = end
                 else:
                     self._dispatch_peer(peer_id, message)
@@ -853,30 +853,22 @@ class BrokerRuntime:
         summary check; forwards ride the pump."""
         for event in events:
             self.schema.validate_event(event)
-        await self._publish_events(events)
+        self._publish_events(events)
         if self.auditor is not None:
             self.auditor.audit_dedup(self._audit_scope)
         await self._pump()
 
-    # -- data-plane seams (overridden by ShardedBrokerRuntime) -----------------
+    # The two batch entry points stay separate methods: the perf ledger's
+    # traced broker counts events per batch by wrapping them by name.
 
-    async def _process_burst(
+    def _process_burst(
         self, items: List[Tuple[Event, FrozenSet[int], int]]
     ) -> None:
-        """Run Algorithm 3 over one contiguous EVENT run from a peer.
-
-        The single-process hot path dispatches inline; the sharded runtime
-        overrides this to fan step 1 (the summary match) out to worker
-        processes.  Awaiting here never reorders frames of one connection
-        — `_serve_peer` finishes the whole burst before its next recv —
-        but frames of *other* connections may interleave at the await,
-        which is a serialization a frame-at-a-time loop could also have
-        produced.
-        """
+        """Run Algorithm 3 over one contiguous EVENT run from a peer."""
         self.metrics.record_match_batch(len(items))
         self.router.process_batch(self.broker, items)
 
-    async def _publish_events(self, events: List[Event]) -> None:
+    def _publish_events(self, events: List[Event]) -> None:
         """Mint ids and run the ingress hop for one validated PUB burst."""
         self.metrics.record_match_batch(len(events))
         self.router.publish_batch(self.broker_id, events)
@@ -1077,10 +1069,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="max frames per inbound dispatch batch")
     parser.add_argument("--paranoid", action="store_true",
                         help="run the summary auditor after every period")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="worker processes for the match hot path "
-                             "(1 = single-process; N > 1 boots the sharded "
-                             "runtime, one CompiledMatcher per worker)")
     return parser
 
 
@@ -1098,14 +1086,7 @@ def warn_reference_matcher(prog: str) -> None:
 
 
 async def _serve(args: argparse.Namespace) -> None:
-    if args.shards > 1:
-        # Deferred import: sharded builds on this module.
-        from repro.runtime.sharded import ShardedBrokerRuntime
-
-        runtime_cls, extra = ShardedBrokerRuntime, {"shards": args.shards}
-    else:
-        runtime_cls, extra = BrokerRuntime, {}
-    runtime = runtime_cls(
+    runtime = BrokerRuntime(
         args.broker_id,
         named_topology(args.topology),
         stock_schema(),
@@ -1123,7 +1104,6 @@ async def _serve(args: argparse.Namespace) -> None:
         # epoch 1, and a cold-rejoined broker would re-mint publish ids
         # that surviving peers' dedup tables eat as duplicates.
         epoch=allocate_epoch(args.snapshot_dir, args.broker_id),
-        **extra,
     )
     port = await runtime.start(args.port)
     runtime.set_peers(parse_peers(args.peers))

@@ -1,13 +1,6 @@
 """Binary wire formats — bandwidth is measured on real encoded bytes."""
 
 from repro.wire.codec import ByteReader, ByteWriter, CodecError, ValueWidth, WireCodec
-from repro.wire.worker import (
-    MatchReply,
-    MatchRequest,
-    SnapshotFrame,
-    StopFrame,
-    WorkerReady,
-)
 from repro.wire.messages import (
     AckMessage,
     AdvertisementMessage,
@@ -28,18 +21,13 @@ __all__ = [
     "ByteWriter",
     "CodecError",
     "EventMessage",
-    "MatchReply",
-    "MatchRequest",
     "Message",
     "MessageCodec",
     "MessageKind",
     "NotifyMessage",
     "ReliableDataMessage",
-    "SnapshotFrame",
-    "StopFrame",
     "SubscriptionBatchMessage",
     "SummaryMessage",
     "ValueWidth",
     "WireCodec",
-    "WorkerReady",
 ]

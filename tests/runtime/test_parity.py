@@ -81,20 +81,16 @@ def batched_simulator_deliveries(topology, schema, subscriptions, ticks):
     return delivered
 
 
-def live_deliveries(topology, schema, subscriptions, ticks, *, chunk=None,
-                    shards=None):
+def live_deliveries(topology, schema, subscriptions, ticks, *, chunk=None):
     """The same triples, but over real TCP brokers.
 
     With ``chunk`` set, each producer publishes through ``publish_many``
     bursts of that size — one coalesced client write per burst, exercising
     the runtime's batched dispatch + ``match_many`` hot path end to end.
-    With ``shards`` set, brokers run as :class:`ShardedBrokerRuntime`
-    (matching fanned to worker processes); paranoid mode then audits every
-    worker result against an acceptor-local re-match.
     """
 
     async def body():
-        cluster = LocalCluster(topology, schema, paranoid=True, shards=shards)
+        cluster = LocalCluster(topology, schema, paranoid=True)
         await cluster.start()
         try:
             subscriber_of = {}
@@ -213,125 +209,10 @@ class TestBatchedParity:
             Topology.line(5), seed=23, subs_per_broker=4, events=30, chunk=16
         )
 
-
-class TestShardedParity:
-    """The multicore runtime against both oracles, worker audits on.
-
-    Three runs of one workload — the sequential simulator, the
-    single-process live cluster, and the sharded live cluster (matching
-    fanned to spawned worker processes) — must agree delivery for
-    delivery.  Paranoid mode makes the sharded run self-checking too:
-    the acceptor re-matches every burst locally and raises ``AuditError``
-    on any cross-process divergence, so a pass here certifies both the
-    delivery sets *and* per-event match parity across process boundaries.
-    """
-
-    def assert_sharded_parity(self, topology, *, seed, subs_per_broker,
-                              events, shards, chunk=8):
-        schema, subscriptions, ticks = build_workload(
-            topology, seed=seed, subs_per_broker=subs_per_broker, events=events
-        )
-        oracle = simulator_deliveries(topology, schema, subscriptions, ticks)
-        single = live_deliveries(
-            topology, schema, subscriptions, ticks, chunk=chunk
-        )
-        assert single == oracle, "single-process live diverged from simulator"
-        sharded = live_deliveries(
-            topology, schema, subscriptions, ticks, chunk=chunk, shards=shards
-        )
-        missing = oracle - sharded
-        extra = sharded - oracle
-        assert not missing and not extra, (
-            f"sharded live runtime diverged: {len(missing)} missing, "
-            f"{len(extra)} extra\nmissing={sorted(missing)[:5]}\n"
-            f"extra={sorted(extra)[:5]}"
-        )
-        assert oracle, "vacuous parity: the workload matched nothing"
-
-    def test_line_sharded_parity(self):
-        """Every broker sharded two ways on the 5-line."""
-        self.assert_sharded_parity(
-            Topology.line(5), seed=23, subs_per_broker=4, events=30, shards=2
-        )
-
-    def test_paper_tree_sharded_parity(self):
-        """The paper's 13-broker tree with the busy interior brokers
-        sharded (a per-broker map, as a heterogeneous deployment would
-        run it) and the leaves single-process."""
-        self.assert_sharded_parity(
-            paper_example_tree(), seed=11, subs_per_broker=3, events=40,
-            shards={0: 2, 1: 2, 2: 2, 3: 2},
-        )
-
     @pytest.mark.slow
-    def test_cable_wireless_24_sharded_parity(self):
-        """Full scale: all 24 backbone brokers sharded two ways."""
-        self.assert_sharded_parity(
+    def test_cable_wireless_24_batched_parity(self):
+        """The paper's 24-broker backbone fed ``publish_many`` bursts."""
+        self.assert_batched_parity(
             cable_wireless_24(), seed=7, subs_per_broker=3, events=60,
-            shards=2,
+            chunk=8,
         )
-
-    def test_mid_traffic_kill_on_sharded_broker(self, tmp_path):
-        """Crash a *sharded* broker while publishes are in flight, then
-        warm-restart it.  The restart must come back sharded (the
-        cluster's shard map survives churn), kill must reap the worker
-        processes, and no consumer may see a duplicate delivery."""
-        import asyncio
-
-        from repro.model import parse_subscription
-        from repro.runtime.chaos import ChaosController
-        from repro.runtime.sharded import ShardedBrokerRuntime
-        from repro.workload.stocks import StockWorkload
-
-        topology = Topology.line(5)
-        workload = StockWorkload(seed=41)
-        schema = workload.schema
-
-        async def body():
-            cluster = LocalCluster(
-                topology, schema, paranoid=True, shards={2: 2}
-            )
-            controller = ChaosController(cluster, tmp_path)
-            await cluster.start()
-            try:
-                assert isinstance(
-                    cluster.runtimes[2], ShardedBrokerRuntime
-                )
-                workers = [
-                    handle.process
-                    for handle in cluster.runtimes[2]._pool.handles
-                ]
-                for broker_id in sorted(cluster.runtimes):
-                    session = await cluster.subscriber(broker_id)
-                    await session.subscribe(
-                        parse_subscription(schema, "price > 0")
-                    )
-                await cluster.run_propagation_period()
-
-                producer = await cluster.producer(0)
-                for _ in range(10):
-                    await producer.publish(workload.tick())
-                await controller.kill(2)  # mid-flight, no quiesce
-                for process in workers:
-                    process.join(5.0)
-                    assert not process.is_alive(), "kill leaked a worker"
-                await controller.restart(2)
-                assert isinstance(
-                    cluster.runtimes[2], ShardedBrokerRuntime
-                ), "restart dropped the shard map"
-                for _ in range(10):
-                    await producer.publish(workload.tick())
-                await cluster.settle()
-
-                duplicates = 0
-                for session in cluster._subscribers:
-                    seen = set()
-                    for key in session.deliveries:
-                        if key in seen:
-                            duplicates += 1
-                        seen.add(key)
-                return duplicates
-            finally:
-                await cluster.stop(drain=False)
-
-        assert asyncio.run(body()) == 0
