@@ -3,7 +3,8 @@
 A :class:`SummaryBroker` owns:
 
 * its clients' raw subscriptions (:class:`SubscriptionStore` — these never
-  leave the broker; they allocate ids and perform the exact re-check),
+  leave the broker; they allocate ids and index them exactly for the
+  owner-side delivery match),
 * the *pending batch* of subscriptions accepted since the last propagation
   period (the paper's sigma),
 * the *kept* multi-broker summary — its own subscriptions merged with every
@@ -19,6 +20,7 @@ this module is the broker state they act on.
 from __future__ import annotations
 
 from collections import OrderedDict
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.model.events import Event
@@ -40,9 +42,14 @@ __all__ = ["SummaryBroker", "DeliveryCallback", "MATCHERS"]
 #: that self-invalidates on summary mutation (the production fast path).
 MATCHERS = ("reference", "compiled")
 
-#: Called when an event is delivered to a subscription's consumer:
-#: ``(broker_id, subscription_id, event)``.
-DeliveryCallback = Callable[[int, SubscriptionId, Event], None]
+#: Sort key of one broker's own ids: they share ``c1``, and ``c2`` is
+#: unique, so this is :class:`SubscriptionId` order without its
+#: Python-level comparisons.
+_LOCAL_ID = attrgetter("local_id")
+
+#: Called once per delivered event with every confirmed subscription:
+#: ``(broker_id, subscription_ids_ascending, event)``.
+DeliveryCallback = Callable[[int, List[SubscriptionId], Event], None]
 
 
 class SummaryBroker:
@@ -52,7 +59,8 @@ class SummaryBroker:
     #: system — and the ext systems that override broker creation — can
     #: attach them after construction; the defaults cost one attribute
     #: check per use.  ``paranoid`` additionally enables the
-    #: compiled-vs-reference parity cross-check inside :meth:`match_kept`.
+    #: compiled-vs-reference parity cross-check inside :meth:`match_kept`
+    #: and the owner-index-vs-recheck one inside :meth:`deliver`.
     tracer = NULL_TRACER
     paranoid = False
 
@@ -149,6 +157,12 @@ class SummaryBroker:
         #: mode never sheds remote ids incrementally, so entries have no
         #: natural expiry).
         self._ghost_covers: OrderedDict = OrderedDict()
+        #: Live frontier member -> its *closure mask* over the store
+        #: index's slots: its own bit plus the bits of the ids it covers.
+        #: Kept exact wherever ``_covered_by`` changes; ``deliver`` ORs
+        #: closures instead of expanding covered ids.  Empty without
+        #: suppression, where every id stands for its own bit alone.
+        self._closures: Dict[SubscriptionId, int] = {}
         if suppress_covered:
             # Deferred import: the siena package's __init__ imports the
             # siena broker, which imports this module — resolvable only
@@ -182,12 +196,15 @@ class SummaryBroker:
         """
         sid = self.store.subscribe(subscription)
         if self._frontier is not None:
+            bit = self.store.index.bit_of(sid)
             coverer = self._frontier.find_coverer(subscription)
             if coverer is not None:
                 self._coverer_of[sid] = coverer
                 self._covered_by.setdefault(coverer, set()).add(sid)
+                self._closures[coverer] |= bit
                 return sid
             self._frontier.add(sid, subscription)
+            self._closures[sid] = bit
         self.pending.append((sid, subscription))
         return sid
 
@@ -216,6 +233,8 @@ class SummaryBroker:
         are not propagated at all.  ``c2`` values are never reused, so
         over-approximating removals is always safe.
         """
+        # Read the bit before the store frees (and may later reuse) its slot.
+        bit = self.store.index.bit_of(sid)
         if self.store.unsubscribe(sid) is None:
             return False
         if self._frontier is not None and sid in self._coverer_of:
@@ -227,6 +246,7 @@ class SummaryBroker:
                 siblings.discard(sid)
                 if not siblings:
                     del self._covered_by[coverer]
+            self._closures[coverer] &= ~bit
             return True
         was_pending = any(p_sid == sid for p_sid, _ in self.pending)
         self.pending = [(p_sid, p_sub) for p_sid, p_sub in self.pending if p_sid != sid]
@@ -434,6 +454,7 @@ class SummaryBroker:
         become the coverer of its later siblings.
         """
         self._frontier.remove(sid)
+        del self._closures[sid]
         orphans = self._covered_by.pop(sid, set())
         survivors = {
             orphan for orphan in orphans if self.store.get(orphan) is not None
@@ -450,12 +471,15 @@ class SummaryBroker:
                 del self._coverer_of[orphan]
                 continue
             coverer = self._frontier.find_coverer(subscription)
+            bit = self.store.index.bit_of(orphan)
             if coverer is not None:
                 self._coverer_of[orphan] = coverer
                 self._covered_by.setdefault(coverer, set()).add(orphan)
+                self._closures[coverer] |= bit
                 continue
             del self._coverer_of[orphan]
             self._frontier.add(orphan, subscription)
+            self._closures[orphan] = bit
             self.kept_summary.add(subscription, orphan)
             self.pending.append((orphan, subscription))
             if (
@@ -490,6 +514,7 @@ class SummaryBroker:
                 self._coverer_of[sid] = coverer
                 self._covered_by.setdefault(coverer, set()).add(sid)
         self._frontier = frontier
+        self._rebuild_closures()
 
     def rebuild_suppression_from_state(self) -> None:
         """Reconstruct suppression maps after a snapshot restore.
@@ -529,6 +554,18 @@ class SummaryBroker:
                 frontier.add(sid, subscription)
                 self.kept_summary.add(subscription, sid)
                 self.pending.append((sid, subscription))
+        self._rebuild_closures()
+
+    def _rebuild_closures(self) -> None:
+        """Recompute every closure mask from the cover maps."""
+        bit_of = self.store.index.bit_of
+        closures = {}
+        for sid in self._frontier.sids:
+            closure = bit_of(sid)
+            for covered in self._covered_by.get(sid, ()):
+                closure |= bit_of(covered)
+            closures[sid] = closure
+        self._closures = closures
 
     # -- event side -------------------------------------------------------------
 
@@ -640,68 +677,117 @@ class SummaryBroker:
     def deliver(
         self, sids: Set[SubscriptionId], event: Event, publish_id: int = 0
     ) -> Set[SubscriptionId]:
-        """Owner-side delivery: exact re-check, then hand to consumers.
+        """Owner-side delivery: exact match among the candidates, then one
+        hand-off of every confirmed id to :attr:`on_delivery`.
 
-        Returns the confirmed ids; the difference is the COARSE false
-        positives (or ids unsubscribed since the summary was propagated).
-        Duplicate notifications for an already-delivered publish are
-        suppressed (at-least-once transport tolerance).
+        Returns the confirmed ids; the rest of the candidates are the COARSE
+        false positives (or ids unsubscribed since the summary was
+        propagated).  Duplicate notifications for an already-delivered
+        publish are suppressed (at-least-once transport tolerance).
 
-        Under covered-id suppression the candidate set only names frontier
-        members (covered ids are in no summary), so each candidate expands
-        to the ids it covers before the exact re-check — a covered
-        subscription matches a subset of what its coverer matches, so this
-        expansion is exactly the candidate set the unsuppressed system
-        would have produced, filtered by the same re-check.
+        Under covered-id suppression the notified ids only name frontier
+        members (covered ids are in no summary).  Each one stands for its
+        closure mask — itself plus the ids it covers — so the candidates
+        are the OR of the closures: exactly the ids the unsuppressed system
+        would have been notified about, since a covered subscription
+        matches a subset of what its coverer matches.  The store's
+        :class:`~repro.summary.owner.OwnerIndex` then confirms them in one
+        bitset match.
         """
-        if self._covered_by or self._ghost_covers:
-            # Transitive closure: a ghost's dependent can itself have died
-            # and become a ghost before the first removal ever propagated.
-            expanded = set(sids)
-            frontier_sids = list(sids)
-            while frontier_sids:
-                candidate = frontier_sids.pop()
-                for covered in (
-                    self._covered_by.get(candidate),
-                    self._ghost_covers.get(candidate),
-                ):
-                    if covered:
-                        for dependent in covered:
-                            if dependent not in expanded:
-                                expanded.add(dependent)
-                                frontier_sids.append(dependent)
-            sids = expanded
         if publish_id:
             if publish_id in self._delivered_publishes:
                 self._delivered_publishes.move_to_end(publish_id)  # LRU touch
                 self.duplicates_suppressed += 1
                 return set()
             self._remember(self._delivered_publishes, publish_id)
+        index = self.store.index
+        closures = self._closures
+        bit_of = index.bit_of
+        candidates = 0
+        dead = 0
+        for sid in sids:
+            closure = closures.get(sid) or bit_of(sid)
+            if not closure:
+                candidates, dead = self._expand_dead(sids)
+                break
+            candidates |= closure
+        notified = candidates.bit_count() + dead
         tracer = self.tracer
         if tracer.enabled:
             with tracer.span(
                 "recheck", broker=self.broker_id, trace_id=publish_id,
-                candidates=len(sids),
+                candidates=notified,
             ) as span:
-                confirmed = self.store.recheck(event, sids)
-                span.note(
-                    confirmed=len(confirmed),
-                    false_positives=len(sids) - len(confirmed),
-                )
+                confirmed = index.match_within(event, candidates)
+                count = confirmed.bit_count()
+                span.note(confirmed=count, false_positives=notified - count)
         else:
-            confirmed = self.store.recheck(event, sids)
-        self.false_positive_notifies += len(sids) - len(confirmed)
-        self.delivered += len(confirmed)
-        on_delivery = self.on_delivery
-        if on_delivery is not None:
-            for sid in sorted(confirmed):
-                on_delivery(self.broker_id, sid, event)
-        if confirmed and tracer.enabled:
-            tracer.record(
-                "delivery", broker=self.broker_id, trace_id=publish_id,
-                count=len(confirmed),
-            )
-        return confirmed
+            confirmed = index.match_within(event, candidates)
+            count = confirmed.bit_count()
+        false_positives = notified - count
+        order = sorted(index.ids_of(confirmed), key=_LOCAL_ID) if count else []
+        if self.paranoid:
+            self._check_owner_parity(sids, event, order, false_positives)
+        self.false_positive_notifies += false_positives
+        self.delivered += count
+        if order:
+            on_delivery = self.on_delivery
+            if on_delivery is not None:
+                on_delivery(self.broker_id, order, event)
+            if tracer.enabled:
+                tracer.record(
+                    "delivery", broker=self.broker_id, trace_id=publish_id,
+                    count=count,
+                )
+        return set(order)
+
+    def _expand_dead(self, sids: Set[SubscriptionId]) -> Tuple[int, int]:
+        """Candidates of a notification naming an id that is not live:
+        ``(candidate mask, distinct dead ids)``.
+
+        A foreign id is a routing bug (``ValueError``).  A dead id counts
+        as a false positive; if it was a coverer when it died (a *ghost* —
+        remote summaries keep naming it until its removal propagates), it
+        stands for the ids it covered then, resolved through their current
+        closures, or through their own ghosts when they died too."""
+        closures = self._closures
+        bit_of = self.store.index.bit_of
+        candidates = 0
+        dead: Set[SubscriptionId] = set()
+        stack = list(sids)
+        while stack:
+            sid = stack.pop()
+            closure = closures.get(sid) or bit_of(sid)
+            if closure:
+                candidates |= closure
+                continue
+            if sid.broker != self.broker_id:
+                raise ValueError(
+                    f"delivery asked for {sid}, owned by broker {sid.broker}, "
+                    f"at broker {self.broker_id}"
+                )
+            if sid not in dead:
+                dead.add(sid)
+                stack.extend(self._ghost_covers.get(sid, ()))
+        return candidates, len(dead)
+
+    def _check_owner_parity(
+        self,
+        sids: Set[SubscriptionId],
+        event: Event,
+        order: List[SubscriptionId],
+        false_positives: int,
+    ) -> None:
+        """Paranoid-mode cross-check of one delivery against the
+        per-candidate oracle walk (cold path — only runs when
+        :attr:`paranoid` is set)."""
+        from repro.obs.audit import AuditError, SummaryAuditor
+
+        violation = SummaryAuditor.check_owner_parity(
+            self, sids, event, order, false_positives
+        )
+        if violation is not None:
+            raise AuditError([violation])
 
     def __repr__(self) -> str:
         return (

@@ -377,16 +377,15 @@ class SummaryPubSub:
     def remove_delivery_listener(self, listener) -> None:
         self._delivery_listeners.remove(listener)
 
-    def _record_delivery(self, broker_id: int, sid: SubscriptionId, event: Event) -> None:
-        delivery = Delivery(
-            broker=broker_id,
-            sid=sid,
-            event=event,
-            at=getattr(self.network, "now", None),
-        )
-        self._delivery_log.append(delivery)
-        for listener in self._delivery_listeners:
-            listener(delivery)
+    def _record_delivery(
+        self, broker_id: int, sids: List[SubscriptionId], event: Event
+    ) -> None:
+        at = getattr(self.network, "now", None)
+        for sid in sids:
+            delivery = Delivery(broker=broker_id, sid=sid, event=event, at=at)
+            self._delivery_log.append(delivery)
+            for listener in self._delivery_listeners:
+                listener(delivery)
 
     def _dispatch(self, dst: int, src: int, message: Message) -> None:
         if self.propagation.handle_message(dst, src, message):

@@ -42,6 +42,15 @@ Invariants checked (per broker, against its kept multi-broker summary):
     inverses, every coverer is a live frontier member, covered ids never
     appear in the kept summary or pending batch, and the ``suppressed``
     counter equals the covered-map size.
+10. **Owner accounting** — the store's
+    :class:`~repro.summary.owner.OwnerIndex` gives exactly the stored ids
+    a slot each, its signature masks partition the slots by ``c3``, its
+    tables equal a from-scratch rebuild over the same slots, and every
+    broker closure mask equals its recomputation from ``_covered_by``.
+
+Paranoid brokers also hold every delivery to the per-candidate oracle walk
+(``owner-parity``, :meth:`SummaryAuditor.check_owner_parity`) and every
+compiled match to the reference walk (``match-parity``).
 
 The auditor inspects private structure fields on purpose: it exists to
 distrust the public API.  Enable system-wide paranoid mode with
@@ -148,6 +157,7 @@ class SummaryAuditor:
         self._check_suppression_accounting(broker, violations)
         self._check_sampled_soundness(broker, violations)
         self._check_compiled_accounting(broker, violations)
+        self._check_owner_accounting(broker, violations)
         self._check_dedup_capacity(broker, violations)
         return violations
 
@@ -464,6 +474,54 @@ class SummaryAuditor:
                 "claims to mirror",
             ))
 
+    def _check_owner_accounting(self, broker, violations: List[Violation]) -> None:
+        """The owner index mirrors the store, and the closure masks mirror
+        the cover maps (both are what ``deliver`` trusts instead of
+        expanding ids and re-checking them one by one)."""
+        bid = broker.broker_id
+        index = broker.store.index
+        stored = dict(broker.store.items())
+        slots = index.slots()
+        if set(slots.values()) != set(stored):
+            drift = set(slots.values()) ^ set(stored)
+            violations.append(Violation(
+                "owner-accounting", bid,
+                f"owner index slots and store ids diverged on "
+                f"{sorted(drift)[:3]}",
+            ))
+        expected: Dict[int, int] = {}
+        for slot, sid in slots.items():
+            expected[sid.attr_mask] = expected.get(sid.attr_mask, 0) | 1 << slot
+        if index.members() != expected:
+            violations.append(Violation(
+                "owner-accounting", bid,
+                "owner index signature masks do not partition the slots by c3",
+            ))
+        if index.canonical() != index.rebuilt(stored).canonical():
+            violations.append(Violation(
+                "owner-accounting", bid,
+                "owner index tables diverged from a rebuild over the same "
+                "slots",
+            ))
+        bit_of = index.bit_of
+        frontier = broker._frontier
+        recomputed = {}
+        for sid in frontier.sids if frontier is not None else ():
+            closure = bit_of(sid)
+            for covered in broker._covered_by.get(sid, ()):
+                closure |= bit_of(covered)
+            recomputed[sid] = closure
+        if broker._closures != recomputed:
+            drift = {
+                sid for sid in set(recomputed) | set(broker._closures)
+                if recomputed.get(sid) != broker._closures.get(sid)
+            }
+            violations.append(Violation(
+                "owner-accounting", bid,
+                f"closure masks diverged from _covered_by on "
+                f"{sorted(drift)[:3]}",
+            ))
+
     def _check_dedup_capacity(self, broker, violations: List[Violation]) -> None:
         capacity = broker.dedup_capacity
         for label, size in (
@@ -477,7 +535,7 @@ class SummaryAuditor:
                     f"capacity {capacity}",
                 ))
 
-    # -- parity helper (used by paranoid match and by tests) ---------------------
+    # -- parity helpers (paranoid match and delivery, and tests) ----------------
 
     @staticmethod
     def check_match_parity(broker, event) -> Optional[Violation]:
@@ -496,6 +554,53 @@ class SummaryAuditor:
             f"compiled/reference disagree on {event!r}: "
             f"only-compiled={sorted(fast - reference)[:3]} "
             f"only-reference={sorted(reference - fast)[:3]}",
+        )
+
+    @staticmethod
+    def owner_oracle(
+        broker, sids: Iterable[SubscriptionId], event
+    ) -> Tuple[List[SubscriptionId], int]:
+        """The per-candidate delivery walk: ``(confirmed ids ascending,
+        false positives)``.  The notified ids expand through
+        ``_covered_by`` and ``_ghost_covers`` transitively, then
+        :meth:`SubscriptionStore.recheck` checks every id reached; every
+        reached id it does not confirm, dead ones included, is a false
+        positive."""
+        expanded = set(sids)
+        stack = list(expanded)
+        while stack:
+            candidate = stack.pop()
+            for covered in (
+                broker._covered_by.get(candidate),
+                broker._ghost_covers.get(candidate),
+            ):
+                for dependent in covered or ():
+                    if dependent not in expanded:
+                        expanded.add(dependent)
+                        stack.append(dependent)
+        confirmed = broker.store.recheck(event, expanded)
+        return sorted(confirmed), len(expanded) - len(confirmed)
+
+    @classmethod
+    def check_owner_parity(
+        cls,
+        broker,
+        sids: Iterable[SubscriptionId],
+        event,
+        order: Sequence[SubscriptionId],
+        false_positives: int,
+    ) -> Optional[Violation]:
+        """One delivery against :meth:`owner_oracle` (None when clean):
+        confirmed ids, hand-off order and false positives must agree."""
+        expected, expected_fp = cls.owner_oracle(broker, sids, event)
+        if list(order) == expected and false_positives == expected_fp:
+            return None
+        return Violation(
+            "owner-parity", broker.broker_id,
+            f"owner index and recheck oracle disagree on {event!r}: "
+            f"index handed off {list(order)[:3]} "
+            f"({false_positives} false positives), oracle confirmed "
+            f"{expected[:3]} ({expected_fp} false positives)",
         )
 
 

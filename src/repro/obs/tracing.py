@@ -13,8 +13,11 @@ span kind             emitted by
 ``summary_match``     the kept-summary match inside a hop (reference or
                       compiled engine, named in the fields)
 ``notify``            one NOTIFY send to an owning broker (zero duration)
-``recheck``           owner-side exact re-check + consumer hand-off
-``delivery``          confirmed deliveries of one re-check (zero duration)
+``recheck``           owner-side exact re-check: the owner-index match of
+                      the candidates (fields: ``candidates``,
+                      ``confirmed``, ``false_positives``)
+``delivery``          confirmed deliveries of one re-check, handed to the
+                      consumers in one call (zero duration)
 ``propagation_period``  one full Algorithm-2 period
 ``summary_send``      one SummaryMessage hop inside a period (zero duration)
 ``full_refresh``      one full-refresh cycle

@@ -128,9 +128,9 @@ class LocalCluster:
         record = self._handoffs[runtime] = []
         forward = runtime.broker.on_delivery
 
-        def keep(broker_id: int, sid: SubscriptionId, event: Event) -> None:
-            record.append((sid, event))
-            forward(broker_id, sid, event)
+        def keep(broker_id: int, sids: List[SubscriptionId], event: Event) -> None:
+            record.extend((sid, event) for sid in sids)
+            forward(broker_id, sids, event)
 
         runtime.broker.on_delivery = keep
         return runtime

@@ -458,15 +458,18 @@ class BrokerRuntime:
         self._links: Dict[int, PeerLink] = {}
         self._sessions: Set[ClientSession] = set()
         self._sid_sessions: Dict[SubscriptionId, ClientSession] = {}
-        #: Undelivered NOTIFYs as ``(session, event, sids)``; ``sids`` grows
-        #: while the entry is its session's newest (see :meth:`_on_delivery`).
+        #: Undelivered NOTIFYs as ``(session, event, sids)``, one per
+        #: session per delivered event (see :meth:`_on_delivery`).
         self._client_outbox: List[Tuple[ClientSession, Event, List[SubscriptionId]]] = []
-        self._open_notifies: Dict[ClientSession, Tuple] = {}
         self._reader_tasks: Set[asyncio.Task] = set()
         self._server: Optional[asyncio.AbstractServer] = None
         self._period_task: Optional[asyncio.Task] = None
         self.port: Optional[int] = None
         self.periods_run = 0
+        #: Brokers whose knowledge each outgoing period link has carried:
+        #: the union of ``delta_brokers`` over every send, by target.  A
+        #: fallback resync reply hands that neighbor exactly this much back.
+        self._link_brokers_out: Dict[int, Set[int]] = {}
         # -- delta-mode fallback statistics (mirrors PropagationEngine) --
         self.fallback_requests = 0
         self.fallback_replies = 0
@@ -627,7 +630,6 @@ class BrokerRuntime:
         peer_batch = self.network.take_outbox()
         client_batch = self._client_outbox[:]
         self._client_outbox.clear()
-        self._open_notifies.clear()
         for dst, message in peer_batch:
             if dst not in self._peer_addresses:
                 # Standalone runtime (tests, single-broker tooling): the
@@ -657,26 +659,23 @@ class BrokerRuntime:
             link = self._links[peer] = PeerLink(self, peer, address, self.queue_frames)
         return link
 
-    def _on_delivery(self, broker_id: int, sid: SubscriptionId, event: Event) -> None:
-        """Broker → consumer hand-off: buffer the delivery for the owning
-        session (ids with no live session — e.g. restored from a snapshot —
-        are counted in ``broker.delivered`` and go no further).
-
-        One publish's deliveries arrive as one run in ascending sid order
-        (:meth:`SummaryBroker.deliver`), so a sid joins its session's newest
-        entry when that entry holds the same event object and a smaller
-        sid; anything else — another event, or the same object published
-        again — opens a new entry.  Each entry leaves as one NOTIFY.
+    def _on_delivery(
+        self, broker_id: int, sids: List[SubscriptionId], event: Event
+    ) -> None:
+        """Broker → consumer hand-off: buffer one NOTIFY per owning session
+        for one delivered event, its ids ascending, sessions in the order
+        of their first id (ids with no live session — e.g. restored from a
+        snapshot — are counted in ``broker.delivered`` and go no further).
         """
-        session = self._sid_sessions.get(sid)
-        if session is None:
-            return
-        entry = self._open_notifies.get(session)
-        if entry is not None and entry[1] is event and entry[2][-1] < sid:
-            entry[2].append(sid)
-            return
-        entry = self._open_notifies[session] = (session, event, [sid])
-        self._client_outbox.append(entry)
+        sessions = self._sid_sessions
+        batches: Dict[ClientSession, List[SubscriptionId]] = {}
+        for sid in sids:
+            session = sessions.get(sid)
+            if session is not None:
+                batches.setdefault(session, []).append(sid)
+        self._client_outbox.extend(
+            (session, event, batch) for session, batch in batches.items()
+        )
 
     # -- inbound connections ---------------------------------------------------
 
@@ -790,24 +789,29 @@ class BrokerRuntime:
         if isinstance(message, SummaryRequestMessage):
             # A live-path rejection means the requester genuinely lost its
             # chain state (restart/restore), so the resync snapshot is the
-            # *whole* current knowledge — kept plus the open delta.  (The
+            # current knowledge — kept plus the open delta — of every
+            # broker this link has ever carried, and of no other.  (The
             # simulator replies with the period delta only because its
             # rejections are always mid-period among brokers that kept
             # their state; here the period never closes for outsiders.)
+            # Handing over more would be a promise the link cannot keep:
+            # the requester would list those brokers in Merged_Brokers,
+            # BROCLI would skip them, and their later subscriptions, which
+            # never travel this link, would be lost.  The requester's own
+            # ids never go back either: after a cold rejoin they are dead.
             broker = self.broker
+            flow = self._link_brokers_out.get(src, set()) - {src}
             snapshot = broker.kept_summary.copy()
             if broker.delta_summary is not None:  # requests can land between periods
                 snapshot.merge(broker.delta_summary)
+            for sid in snapshot.all_ids():
+                if sid.broker not in flow:
+                    snapshot.remove(sid)
             broker.link_generations_out[src] = 0
             self.fallback_replies += 1
             self.network.send(
                 self.broker_id, src,
-                SummaryMessage(
-                    summary=snapshot,
-                    merged_brokers=frozenset(
-                        broker.merged_brokers | broker.delta_brokers
-                    ),
-                ),
+                SummaryMessage(summary=snapshot, merged_brokers=frozenset(flow)),
             )
             return
         if self.router.handle_message(self.broker_id, src, message):
@@ -941,6 +945,9 @@ class BrokerRuntime:
         broker.period_acted = True
         if target is not None:
             broker.contacted.add(target)
+            self._link_brokers_out.setdefault(target, set()).update(
+                broker.delta_brokers
+            )
             if self.tracer.enabled:
                 self.tracer.record(
                     "summary_send", broker=self.broker_id,

@@ -109,11 +109,13 @@ class SienaBroker:
         when published here); it is excluded from forwarding.
         """
         # Local delivery: check raw subscriptions (exact).
-        for sid, subscription in sorted(self.store.items()):
-            if subscription.matches(event):
-                self.deliveries.append((sid, event))
-                if self.on_delivery is not None:
-                    self.on_delivery(self.broker_id, sid, event)
+        matched = [
+            sid for sid, subscription in sorted(self.store.items())
+            if subscription.matches(event)
+        ]
+        self.deliveries.extend((sid, event) for sid in matched)
+        if matched and self.on_delivery is not None:
+            self.on_delivery(self.broker_id, matched, event)
         targets: List[int] = []
         for neighbor in self.neighbors:
             if neighbor == interface:

@@ -165,8 +165,12 @@ class SienaPubSub:
 
     # -- internals -------------------------------------------------------------------
 
-    def _record_delivery(self, broker_id: int, sid: SubscriptionId, event: Event) -> None:
-        self._delivery_log.append(Delivery(broker=broker_id, sid=sid, event=event))
+    def _record_delivery(
+        self, broker_id: int, sids: List[SubscriptionId], event: Event
+    ) -> None:
+        self._delivery_log.extend(
+            Delivery(broker=broker_id, sid=sid, event=event) for sid in sids
+        )
 
     def _dispatch(self, dst: int, src: int, message: Message) -> None:
         broker = self.brokers[dst]

@@ -15,6 +15,7 @@ from repro.summary.intervals import (
     intervals_for_conjunction,
 )
 from repro.summary.maintenance import MaintainedSummary, SubscriptionStore
+from repro.summary.owner import OwnerIndex
 from repro.summary.matching import (
     MatchDetails,
     NaiveMatcher,
@@ -48,6 +49,7 @@ __all__ = [
     "MatchDetails",
     "NaiveMatcher",
     "NotEqualsPattern",
+    "OwnerIndex",
     "PatternRow",
     "Precision",
     "RangeRow",

@@ -414,25 +414,26 @@ class CompiledMatcher:
                     break
             else:
                 matched |= members
-        return self._ids_of(matched)
+        return set(ids_of_bits(self._ids, matched))
 
-    def _ids_of(self, bits: int) -> Set[SubscriptionId]:
-        """The ids of the set slots of ``bits``."""
-        if not bits:
-            return set()
-        ids = self._ids
-        # Peeling the lowest bit costs per set bit, the digit pass per slot
-        # up to the highest set bit; on CPython 3.11 they cross near one
-        # set bit in ~24 slots.
-        if bits.bit_count() * 24 < bits.bit_length():
-            out = set()
-            while bits:
-                low = bits & -bits
-                out.add(ids[low.bit_length() - 1])
-                bits ^= low
-            return out
-        # Many hits: one C-level pass over the binary digits, lowest first.
-        return set(compress(ids, bin(bits)[:1:-1].encode().translate(_DIGITS)))
+
+def ids_of_bits(ids: Sequence, bits: int) -> Iterable:
+    """``ids[slot]`` for every set bit of ``bits``, lowest slot first (an
+    iterable to consume once)."""
+    if not bits:
+        return ()
+    # Peeling the lowest bit costs per set bit, the digit pass per slot
+    # up to the highest set bit; on CPython 3.11 they cross near one
+    # set bit in ~24 slots.
+    if bits.bit_count() * 24 < bits.bit_length():
+        out = []
+        while bits:
+            low = bits & -bits
+            out.append(ids[low.bit_length() - 1])
+            bits ^= low
+        return out
+    # Many hits: one C-level pass over the binary digits, lowest first.
+    return compress(ids, bin(bits)[:1:-1].encode().translate(_DIGITS))
 
 
 def _anchor_of(pattern: StringPattern) -> Optional[Tuple[str, str]]:

@@ -8,8 +8,12 @@ explicitly:
 * Every broker keeps its *own* clients' raw subscriptions in a
   :class:`SubscriptionStore` — these never leave the broker, so the
   summary-centric bandwidth/storage benefits are untouched.  The store is
-  what allocates the ``c2`` local ids and performs the exact re-check that
-  makes COARSE summaries safe end-to-end.
+  what allocates the ``c2`` local ids and keeps the exact
+  :class:`~repro.summary.owner.OwnerIndex` over them, through which the
+  owner re-checks deliveries — what makes COARSE summaries safe
+  end-to-end.  :meth:`SubscriptionStore.recheck`, one
+  :meth:`Subscription.matches` per candidate, is the oracle that index is
+  tested and audited against.
 * Unsubscription removes the id from every summary row immediately
   (cheap, keeps matching correct) but does not re-narrow generalized rows —
   a COARSE row cannot remember which boundary belonged to whom.
@@ -26,6 +30,7 @@ from repro.model.events import Event
 from repro.model.ids import SubscriptionId
 from repro.model.schema import Schema
 from repro.model.subscriptions import Subscription
+from repro.summary.owner import OwnerIndex
 from repro.summary.precision import Precision
 from repro.summary.summary import BrokerSummary
 
@@ -68,6 +73,9 @@ class SubscriptionStore:
         self.max_subscriptions = max_subscriptions
         self._subscriptions: Dict[SubscriptionId, Subscription] = {}
         self._next_local_id = 0
+        #: Exact slot-mask index over the stored subscriptions: the owner's
+        #: delivery match (:meth:`SummaryBroker.deliver`).
+        self.index = OwnerIndex(schema)
 
     # -- membership ----------------------------------------------------------
 
@@ -96,10 +104,14 @@ class SubscriptionStore:
         )
         self._next_local_id += 1
         self._subscriptions[sid] = subscription
+        self.index.add(sid, subscription)
         return sid
 
     def unsubscribe(self, sid: SubscriptionId) -> Optional[Subscription]:
-        return self._subscriptions.pop(sid, None)
+        subscription = self._subscriptions.pop(sid, None)
+        if subscription is not None:
+            self.index.remove(sid, subscription)
+        return subscription
 
     @property
     def next_local_id(self) -> int:
@@ -121,6 +133,7 @@ class SubscriptionStore:
         self.schema.validate_subscription(subscription)
         self._check_capacity(sid.local_id)
         self._subscriptions[sid] = subscription
+        self.index.add(sid, subscription)
         self._next_local_id = max(self._next_local_id, sid.local_id + 1)
 
     def advance_watermark(self, next_local_id: int) -> None:
@@ -160,6 +173,9 @@ class SubscriptionStore:
         drops ids whose subscription has since been removed.  Only ids owned
         by this broker can be checked; foreign ids are rejected loudly —
         receiving one indicates a routing bug.
+
+        The per-candidate oracle: live delivery matches through
+        :attr:`index` instead, and paranoid mode holds the two equal.
         """
         confirmed: Set[SubscriptionId] = set()
         for sid in candidates:

@@ -10,11 +10,12 @@ every operation, alongside the paranoid suppression-accounting audit.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.broker.broker import SummaryBroker
 from repro.model import Event, parse_subscription, stock_schema
-from repro.obs.audit import SummaryAuditor
+from repro.model.ids import SubscriptionId
+from repro.obs.audit import AuditError, SummaryAuditor
 from repro.siena.covering import subscription_covers
 
 SCHEMA = stock_schema()
@@ -122,7 +123,7 @@ class TestSuppressionChurn:
         deliveries = []
         broker = SummaryBroker(
             0, SCHEMA, suppress_covered=True,
-            on_delivery=lambda b, sid, event: deliveries.append(sid),
+            on_delivery=lambda b, sids, event: deliveries.extend(sids),
         )
         coverer = broker.subscribe(parse_subscription(SCHEMA, "price < 10"))
         covered = broker.subscribe(parse_subscription(SCHEMA, "price < 5"))
@@ -151,7 +152,7 @@ class TestGhostCoverers:
         deliveries = []
         broker = SummaryBroker(
             0, SCHEMA, suppress_covered=True,
-            on_delivery=lambda b, sid, event: deliveries.append(sid),
+            on_delivery=lambda b, sids, event: deliveries.extend(sids),
         )
         coverer = broker.subscribe(parse_subscription(SCHEMA, "price < 10"))
         covered = broker.subscribe(parse_subscription(SCHEMA, "price < 10"))
@@ -181,3 +182,132 @@ class TestGhostCoverers:
         confirmed = broker.deliver({coverer}, Event.of(price=3.0))
         assert confirmed == set()
         assert broker.false_positive_notifies > 0
+
+
+#: Notifications the oracle test delivers: each event matches a different
+#: slice of POOL.
+EVENTS = [
+    Event.of(price=3.0),
+    Event.of(price=7.0, symbol="OTE"),
+    Event.of(price=4.0, symbol="ABC", volume=6000),
+    Event.of(price=15.0, volume=2000),
+    Event.of(symbol="OTE"),
+]
+
+
+class TestDeliveryOracle:
+    """``deliver`` (closure masks + one owner-index match) against the
+    per-candidate oracle walk, under the churn that makes the walk hard:
+    coverer deaths, transitive ghosts and notifications naming ids that
+    have since been unsubscribed."""
+
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("sub"), st.integers(0, len(POOL) - 1)),
+                st.tuples(st.just("unsub"), st.integers(0, 200)),
+                st.tuples(
+                    st.just("deliver"),
+                    st.tuples(
+                        st.lists(st.integers(0, 200), min_size=1, max_size=4),
+                        st.integers(0, len(EVENTS) - 1),
+                    ),
+                ),
+                st.tuples(st.just("refresh"), st.just(0)),
+            ),
+            min_size=1,
+            max_size=50,
+        ),
+        suppress=st.booleans(),
+    )
+    # A coverer dies: one orphan promotes, the other re-homes under it.
+    @example(
+        ops=[("sub", 0), ("sub", 1), ("sub", 2), ("unsub", 0),
+             ("deliver", ([1], 0)), ("deliver", ([0], 0))],
+        suppress=True,
+    )
+    # Two deaths in a row: the notified ghosts reach each other.
+    @example(
+        ops=[("sub", 0), ("sub", 0), ("sub", 0), ("unsub", 0), ("unsub", 0),
+             ("deliver", ([0, 1], 0))],
+        suppress=True,
+    )
+    # A covered id is notified after it was unsubscribed.
+    @example(
+        ops=[("sub", 0), ("sub", 1), ("unsub", 1), ("deliver", ([0, 1], 0))],
+        suppress=True,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_deliver_equals_oracle_walk(self, ops, suppress):
+        handoffs = []
+        broker = SummaryBroker(
+            0, SCHEMA, suppress_covered=suppress,
+            on_delivery=lambda b, sids, event: handoffs.append(list(sids)),
+        )
+        auditor = SummaryAuditor(SCHEMA)
+        minted, live = [], []
+        for op, arg in ops:
+            if op == "sub":
+                sid = broker.subscribe(POOL[arg])
+                minted.append(sid)
+                live.append(sid)
+            elif op == "unsub" and live:
+                assert broker.unsubscribe(live.pop(arg % len(live)))
+            elif op == "refresh":
+                broker.reset_merged_state()
+            elif op == "deliver" and minted:
+                picks, which = arg
+                # Any id ever minted: live frontier members, covered ids,
+                # ghosts and plain dead ids.
+                sids = {minted[pick % len(minted)] for pick in picks}
+                event = EVENTS[which]
+                order, false_positives = SummaryAuditor.owner_oracle(
+                    broker, sids, event
+                )
+                before = broker.false_positive_notifies
+                del handoffs[:]
+                confirmed = broker.deliver(sids, event)
+                assert confirmed == set(order)
+                assert handoffs == ([order] if order else [])
+                assert broker.false_positive_notifies - before == false_positives
+            auditor.assert_clean(broker)
+
+    def test_foreign_id_is_rejected(self):
+        broker = SummaryBroker(0, SCHEMA, suppress_covered=True)
+        own = broker.subscribe(parse_subscription(SCHEMA, "price < 10"))
+        foreign = SubscriptionId(broker=1, local_id=0, attr_mask=own.attr_mask)
+        with pytest.raises(ValueError):
+            broker.deliver({own, foreign}, Event.of(price=3.0))
+
+
+class TestOwnerAudit:
+    def test_corrupted_row_and_closure_masks_are_caught(self):
+        broker = SummaryBroker(0, SCHEMA, suppress_covered=True)
+        for subscription in POOL:
+            broker.subscribe(subscription)
+        auditor = SummaryAuditor(SCHEMA)
+        auditor.assert_clean(broker)
+
+        line = broker.store.index._tables["price"]
+        saved = line.masks[1]
+        line.masks[1] ^= 1  # slot 0 joins or leaves one row
+        with pytest.raises(AuditError, match="owner-accounting"):
+            auditor.assert_clean(broker)
+        line.masks[1] = saved
+        auditor.assert_clean(broker)
+
+        coverer = next(iter(broker._covered_by))
+        broker._closures[coverer] ^= broker.store.index.bit_of(coverer)
+        with pytest.raises(AuditError, match="owner-accounting"):
+            auditor.assert_clean(broker)
+
+    def test_paranoid_deliver_raises_on_parity_break(self):
+        broker = SummaryBroker(0, SCHEMA, suppress_covered=True)
+        broker.paranoid = True
+        coverer = broker.subscribe(parse_subscription(SCHEMA, "price < 10"))
+        covered = broker.subscribe(parse_subscription(SCHEMA, "price < 5"))
+        assert broker.deliver({coverer}, Event.of(price=3.0)) == {coverer, covered}
+        # A closure that forgot its covered id loses a delivery.
+        broker._closures[coverer] = broker.store.index.bit_of(coverer)
+        with pytest.raises(AuditError, match="owner-parity"):
+            broker.deliver({coverer}, Event.of(price=3.0))

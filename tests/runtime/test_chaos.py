@@ -151,6 +151,14 @@ DEAD_WINDOW_FALLBACK = (
     ChaosEvent(step=1, action="kill", broker=2, snapshot=True),
     ChaosEvent(step=3, action="restart", broker=2, restore=True),
 )
+#: Cold rejoin of a broker next to the hub — the fallback-overreach class:
+#: the hub's resync reply used to hand the rejoined broker the hub's whole
+#: knowledge, so it claimed brokers whose later subscriptions never travel
+#: that link and BROCLI skipped them (3 of 67 deliveries lost).
+COLD_REJOIN_FALLBACK_OVERREACH = (
+    ChaosEvent(step=1, action="kill", broker=1),
+    ChaosEvent(step=2, action="restart", broker=1),
+)
 #: Back-to-back link flaps across both halves of the line.
 FLAP_SEQUENCE = (
     ChaosEvent(step=1, action="flap", broker=1, peer=2),
@@ -171,6 +179,7 @@ OVERLAPPING_DOUBLE_FAULT = (
 _PINNED = (
     STALE_ADDRESS_WARM_RESTART,
     COLD_REJOIN_EPOCH,
+    COLD_REJOIN_FALLBACK_OVERREACH,
     DEAD_WINDOW_FALLBACK,
     FLAP_SEQUENCE,
     OVERLAPPING_DOUBLE_FAULT,
@@ -212,6 +221,7 @@ class TestRandomizedChaos:
     @given(schedule=chaos_schedules())
     @example(schedule=STALE_ADDRESS_WARM_RESTART)
     @example(schedule=COLD_REJOIN_EPOCH)
+    @example(schedule=COLD_REJOIN_FALLBACK_OVERREACH)
     @example(schedule=FLAP_SEQUENCE)
     @settings(
         max_examples=_LIVE_EXAMPLES, deadline=None,
@@ -391,6 +401,57 @@ class TestFallbackResyncAfterKill:
         assert requests > 0, "rejoin did not trigger the full-summary fallback"
         assert replies > 0
         assert len(delivered) == 1, "dead-window subscription lost after rejoin"
+
+    def test_cold_rejoin_resync_reply_claims_only_what_the_link_carries(
+        self, tmp_path
+    ):
+        """Regression: on line5 the hub (broker 2) ships its periodic delta
+        to broker 1 before broker 3's arrives, so the 2 → 1 link carries
+        broker 2's own interest only.  A resync reply that handed a cold-
+        rejoined broker 1 the hub's whole knowledge made it claim brokers
+        3 and 4 in Merged_Brokers; their later subscriptions never reached
+        it, and publishes entering at broker 0 stopped at broker 1's
+        BROCLI without ever reaching the hub."""
+        workload = StockWorkload(seed=29)
+
+        async def body():
+            cluster = LocalCluster(Topology.line(5), SCHEMA)
+            controller = ChaosController(cluster, tmp_path)
+            await cluster.start()
+            try:
+                for broker_id in (1, 2, 3):
+                    session = await cluster.subscriber(broker_id)
+                    await session.subscribe(workload.subscription())
+                await cluster.run_propagation_period()
+
+                await controller.kill(1)
+                await cluster.run_propagation_period()
+                await controller.restart(1)
+                await cluster.run_propagation_period()
+                rejoined = cluster.runtimes[1]
+                replies = sum(r.fallback_replies for r in cluster.runtimes.values())
+                merged = set(rejoined.broker.merged_brokers)
+                own_ids = {
+                    sid for sid in rejoined.broker.kept_summary.all_ids()
+                    if sid.broker == 1
+                }
+
+                # Interest born after the rejoin, far side of the hub.
+                tail = await cluster.subscriber(4)
+                sid = await tail.subscribe(parse_subscription(SCHEMA, MATCH_ALL))
+                await cluster.run_propagation_period()
+                await (await cluster.producer(0)).publish(workload.tick())
+                await cluster.settle()
+                delivered = [entry for entry in tail.deliveries if entry[0] == sid]
+                return replies, merged, own_ids, delivered
+            finally:
+                await cluster.stop(drain=False)
+
+        replies, merged, own_ids, delivered = asyncio.run(body())
+        assert replies > 0, "cold rejoin did not trigger the full-summary fallback"
+        assert not merged & {3, 4}, f"rejoined broker claims {sorted(merged)}"
+        assert not own_ids, f"dead incarnation's ids handed back: {sorted(own_ids)}"
+        assert len(delivered) == 1, "post-rejoin subscription at broker 4 missed"
 
 
 class TestMidTrafficKill:
