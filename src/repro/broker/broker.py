@@ -33,14 +33,7 @@ from repro.summary.maintenance import SubscriptionStore
 from repro.summary.precision import Precision
 from repro.summary.summary import BrokerSummary
 
-__all__ = ["SummaryBroker", "DeliveryCallback", "MATCHERS"]
-
-#: Valid values for the ``matcher`` option: ``"reference"`` walks the live
-#: summary structures (Algorithm 1 exactly as the paper states it; the
-#: default, used by all figure-reproduction code), ``"compiled"`` matches
-#: against a flat :class:`~repro.summary.compiled.CompiledMatcher` snapshot
-#: that self-invalidates on summary mutation (the production fast path).
-MATCHERS = ("reference", "compiled")
+__all__ = ["SummaryBroker", "DeliveryCallback"]
 
 #: Sort key of one broker's own ids: they share ``c1``, and ``c2`` is
 #: unique, so this is :class:`SubscriptionId` order without its
@@ -70,25 +63,18 @@ class SummaryBroker:
         schema: Schema,
         precision: Precision = Precision.COARSE,
         on_delivery: Optional[DeliveryCallback] = None,
-        matcher: str = "reference",
         dedup_capacity: int = 4096,
         max_subscriptions: Optional[int] = None,
         suppress_covered: bool = True,
     ):
-        if matcher not in MATCHERS:
-            raise ValueError(
-                f"unknown matcher {matcher!r}; expected one of {MATCHERS}"
-            )
         if dedup_capacity < 1:
             raise ValueError("dedup capacity must be positive")
         self.broker_id = broker_id
         self.schema = schema
         self.precision = precision
-        self.matcher = matcher
         self.store = SubscriptionStore(schema, broker_id, max_subscriptions)
         self.on_delivery = on_delivery
-        #: Lazily (re)built compiled snapshot of ``kept_summary`` when the
-        #: ``"compiled"`` matcher is selected.
+        #: Lazily (re)built compiled snapshot of ``kept_summary``.
         self._compiled: Optional[CompiledMatcher] = None
 
         #: Subscriptions accepted since the last propagation period.
@@ -617,38 +603,33 @@ class SummaryBroker:
     def match_kept(self, event: Event) -> Set[SubscriptionId]:
         """Match an event against the kept multi-broker summary.
 
-        With ``matcher="compiled"`` this goes through a flat
-        :class:`CompiledMatcher` snapshot of the kept summary; the snapshot
-        tracks the summary's generation counter, so mutations from
-        propagation periods (``merge``), subscriptions (``add``) and
-        unsubscriptions (``remove``) transparently trigger a lazy rebuild.
-        Both paths return identical id sets (see
+        This goes through a :class:`CompiledMatcher` snapshot of the kept
+        summary; the snapshot tracks the summary's generation counter, so
+        mutations from propagation periods (``merge``), subscriptions
+        (``add``) and unsubscriptions (``remove``) transparently trigger a
+        lazy rebuild.  It returns the id set of the reference walk
+        :meth:`BrokerSummary.match` (see
         ``tests/summary/test_compiled_differential.py``).
         """
         self.events_examined += 1
-        if self.matcher == "compiled":
-            matched = self._compiled_matcher().match(event)
-            if self.paranoid:
-                self._check_match_parity(matched, event)
-            return matched
-        return self.kept_summary.match(event)
+        matched = self._compiled_matcher().match(event)
+        if self.paranoid:
+            self._check_match_parity(matched, event)
+        return matched
 
     def match_kept_many(self, events: List[Event]) -> List[Set[SubscriptionId]]:
         """Match a batch of events against the kept summary, in order.
 
-        The batched form of :meth:`match_kept`: with ``matcher="compiled"``
-        it goes through :meth:`CompiledMatcher.match_many`, which amortizes
-        the staleness check over the batch.  The reference matcher falls
-        back to a per-event walk — identical results either way.
+        The batched form of :meth:`match_kept`: it goes through
+        :meth:`CompiledMatcher.match_many`, which amortizes the staleness
+        check over the batch.
         """
         self.events_examined += len(events)
-        if self.matcher == "compiled":
-            results = self._compiled_matcher().match_many(events)
-            if self.paranoid:
-                for event, matched in zip(events, results):
-                    self._check_match_parity(matched, event)
-            return results
-        return [self.kept_summary.match(event) for event in events]
+        results = self._compiled_matcher().match_many(events)
+        if self.paranoid:
+            for event, matched in zip(events, results):
+                self._check_match_parity(matched, event)
+        return results
 
     def _compiled_matcher(self) -> CompiledMatcher:
         compiled = self._compiled

@@ -16,12 +16,11 @@ that owner's subscriptions were examined (and notified) by an earlier hop,
 so re-notifying would deliver duplicates when visited brokers have
 overlapping knowledge.
 
-Step 1's summary check goes through :meth:`SummaryBroker.match_kept`, which
-dispatches to the broker's configured matching engine — the reference
-Algorithm-1 walk or the compiled fast path
-(:class:`repro.summary.compiled.CompiledMatcher`).  Both return identical
-id sets, so every routing decision (owner notifications, BROCLI forwarding
-targets, hop counts) is matcher-independent; this is asserted end-to-end by
+Step 1's summary check goes through :meth:`SummaryBroker.match_kept`, the
+compiled snapshot (:class:`repro.summary.compiled.CompiledMatcher`).  It
+returns the id sets of the reference Algorithm-1 walk, so every routing
+decision (owner notifications, BROCLI forwarding targets, hop counts) is
+the paper's; this is asserted end-to-end against the walk by
 ``tests/broker/test_routing.py::TestCompiledMatcherParity``.
 """
 
@@ -264,8 +263,7 @@ class EventRouter:
             return
         tracer = self.tracer
         if not tracer.enabled:
-            # Step 1: check the local merged summary (reference walk or
-            # compiled snapshot, per the broker's matcher option).
+            # Step 1: check the local merged summary.
             matched = broker.match_kept(event)
             # Step 2: update BROCLI with this broker's Merged_Brokers
             # (which includes its own id).
@@ -289,7 +287,6 @@ class EventRouter:
         ) as hop:
             with tracer.span(
                 "summary_match", broker=broker.broker_id, trace_id=publish_id,
-                engine=broker.matcher,
             ) as match_span:
                 matched = broker.match_kept(event)
                 match_span.note(matched=len(matched))
@@ -339,7 +336,6 @@ class EventRouter:
             with tracer.span(
                 "batch_match", broker=broker.broker_id,
                 trace_id=fresh_items[0][2], batch=len(fresh_items),
-                engine=broker.matcher,
             ) as span:
                 matched_sets = broker.match_kept_many(
                     [event for event, _brocli, _pid in fresh_items]

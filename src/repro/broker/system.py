@@ -102,7 +102,6 @@ class SummaryPubSub:
         latency: Optional[LatencyModel] = None,
         network_cls: Optional[type] = None,
         network_options: Optional[Dict] = None,
-        matcher: str = "reference",
         reliability: Optional[RetryPolicy] = None,
         dedup_capacity: int = 4096,
         tracer: Optional[Tracer] = None,
@@ -120,9 +119,6 @@ class SummaryPubSub:
         #: Covered-id suppression (folded in from ``repro.ext.hybrid``):
         #: subscriptions subsumed by an existing one never hit the wire.
         self.suppress_covered = suppress_covered
-        #: Event-matching engine: "reference" (live summary walk, paper
-        #: semantics, the default) or "compiled" (flat snapshot fast path).
-        self.matcher = matcher
         #: Per-broker publish-id LRU size (at-least-once dedup window).
         self.dedup_capacity = dedup_capacity
         #: Event-lifecycle tracer shared by router/propagation/brokers;
@@ -232,7 +228,6 @@ class SummaryPubSub:
             self.schema,
             self.precision,
             on_delivery=self._record_delivery,
-            matcher=self.matcher,
             dedup_capacity=self.dedup_capacity,
             max_subscriptions=self.max_subscriptions,
             suppress_covered=self.suppress_covered,

@@ -48,7 +48,6 @@ def run_traced_system(
     system = SummaryPubSub(
         topology,
         generator.schema,
-        matcher="compiled",
         tracer=tracer,
         paranoid=paranoid,
     )

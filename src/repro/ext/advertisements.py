@@ -188,7 +188,6 @@ class AdvertisingPubSub(SummaryPubSub):
             self.schema,
             self.precision,
             on_delivery=self._record_delivery,
-            matcher=self.matcher,
             max_subscriptions=self.max_subscriptions,
         )
 

@@ -68,7 +68,6 @@ class HybridPubSub(SummaryPubSub):
             self.schema,
             self.precision,
             on_delivery=self._record_delivery,
-            matcher=self.matcher,
             dedup_capacity=self.dedup_capacity,
             max_subscriptions=self.max_subscriptions,
         )

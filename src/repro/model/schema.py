@@ -11,6 +11,7 @@ paper's running example (figures 2-6).
 
 from __future__ import annotations
 
+from math import isfinite
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.model.attributes import AttributeSpec
@@ -120,14 +121,18 @@ class Schema:
     # -- validation ------------------------------------------------------------------
 
     def validate_event(self, event: Event) -> None:
-        """Check every event attribute exists in the schema with the right type."""
-        for name, typ, _value in event.items():
+        """Check every event attribute exists in the schema with the right
+        type, and every arithmetic value is finite: summary rows cannot
+        place NaN or the infinities where :meth:`Subscription.matches` does."""
+        for name, typ, value in event.items():
             expected = self.type_of(name)
             if typ is not expected:
                 raise SchemaError(
                     f"event attribute {name!r} has type {typ.value}, "
                     f"schema says {expected.value}"
                 )
+            if isinstance(value, float) and not isfinite(value):
+                raise SchemaError(f"event attribute {name!r} is not finite: {value}")
 
     def validate_constraint(self, constraint: Constraint) -> None:
         expected = self.type_of(constraint.name)

@@ -45,7 +45,6 @@ from repro.runtime.server import (
     DEFAULT_QUEUE_FRAMES,
     BrokerRuntime,
     named_topology,
-    warn_reference_matcher,
 )
 from repro.summary.precision import Precision
 from repro.wire.codec import ValueWidth
@@ -64,9 +63,7 @@ class LocalCluster:
         *,
         precision: Precision = Precision.COARSE,
         value_width: ValueWidth = ValueWidth.F64,
-        matcher: str = "compiled",
         propagation_policy: TargetPolicy = TargetPolicy.HIGHEST_DEGREE,
-        propagation_mode: str = "delta",
         suppress_covered: bool = True,
         queue_frames: int = DEFAULT_QUEUE_FRAMES,
         batch_frames: int = DEFAULT_BATCH_FRAMES,
@@ -83,9 +80,7 @@ class LocalCluster:
         self._runtime_options = dict(
             precision=precision,
             value_width=value_width,
-            matcher=matcher,
             propagation_policy=propagation_policy,
-            propagation_mode=propagation_mode,
             suppress_covered=suppress_covered,
             queue_frames=queue_frames,
             batch_frames=batch_frames,
@@ -427,18 +422,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--events", type=int, default=50,
                         help="events to publish (round-robin over brokers)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--matcher", choices=("reference", "compiled"),
-                        default="compiled",
-                        help="event-matching engine (default: compiled — the "
-                             "batched fast path; 'reference' is deprecated on "
-                             "the live path and kept for debugging)")
     parser.add_argument("--snapshot-dir", default=None,
                         help="drain every broker to snapshots on exit")
-    parser.add_argument("--propagation-mode", choices=("delta", "full"),
-                        default="delta",
-                        help="summary propagation frames (default: delta — "
-                             "incremental SUMMARY_DELTA with generation "
-                             "chaining; 'full' re-ships whole summaries)")
     parser.add_argument("--paranoid", action="store_true")
     return parser
 
@@ -449,9 +434,7 @@ async def _demo(args: argparse.Namespace) -> None:
     cluster = LocalCluster(
         topology,
         workload.schema,
-        matcher=args.matcher,
         snapshot_dir=args.snapshot_dir,
-        propagation_mode=args.propagation_mode,
         paranoid=True if args.paranoid else None,
     )
     await cluster.start()
@@ -492,8 +475,6 @@ async def _demo(args: argparse.Namespace) -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.matcher == "reference":
-        warn_reference_matcher("repro-cluster")
     asyncio.run(_demo(args))
     return 0
 

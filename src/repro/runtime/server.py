@@ -8,7 +8,7 @@ The first frame of a connection is a :class:`~repro.wire.messages
 * ``ROLE_PEER`` — another broker.  Subsequent frames are the same
   :class:`SummaryDeltaMessage` / :class:`SummaryMessage` /
   :class:`EventMessage` / :class:`NotifyMessage` traffic the simulator
-  moves (delta frames by default, with the same per-link generation
+  moves (delta frames each period, with the same per-link generation
   chaining and full-summary fallback the simulator's engine uses),
   dispatched through the *same* engine code
   (:class:`~repro.broker.routing.EventRouter` and the
@@ -73,11 +73,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.broker.broker import SummaryBroker
 from repro.broker.persistence import allocate_epoch, save_broker
-from repro.broker.propagation import (
-    PROPAGATION_MODES,
-    TargetPolicy,
-    select_period_target,
-)
+from repro.broker.propagation import TargetPolicy, select_period_target
 from repro.broker.routing import EventRouter
 from repro.model.events import Event
 from repro.model.ids import IdCodec, SubscriptionId
@@ -120,7 +116,6 @@ __all__ = [
     "PeerLink",
     "RuntimeNetwork",
     "named_topology",
-    "warn_reference_matcher",
     "main",
 ]
 
@@ -376,10 +371,8 @@ class BrokerRuntime:
         precision: Precision = Precision.COARSE,
         value_width: ValueWidth = ValueWidth.F64,
         max_subscriptions: int = DEFAULT_MAX_SUBSCRIPTIONS,
-        matcher: str = "compiled",
         dedup_capacity: int = 4096,
         propagation_policy: TargetPolicy = TargetPolicy.HIGHEST_DEGREE,
-        propagation_mode: str = "delta",
         suppress_covered: bool = True,
         period_interval: Optional[float] = None,
         queue_frames: int = DEFAULT_QUEUE_FRAMES,
@@ -397,16 +390,6 @@ class BrokerRuntime:
         self.topology = topology
         self.schema = schema
         self.policy = propagation_policy
-        if propagation_mode not in PROPAGATION_MODES:
-            raise ValueError(
-                f"unknown propagation mode {propagation_mode!r}; expected "
-                f"one of {PROPAGATION_MODES}"
-            )
-        #: ``"delta"`` ships per-period :class:`SummaryDeltaMessage` frames
-        #: (adds + removals, per-link generation chaining, full-summary
-        #: fallback on a broken chain); ``"full"`` is the original
-        #: :class:`SummaryMessage`-per-period path.
-        self.propagation_mode = propagation_mode
         self.period_interval = period_interval
         self.queue_frames = queue_frames
         if batch_frames < 1:
@@ -442,7 +425,6 @@ class BrokerRuntime:
             schema,
             precision,
             on_delivery=self._on_delivery,
-            matcher=matcher,
             dedup_capacity=dedup_capacity,
             max_subscriptions=max_subscriptions,
             suppress_covered=suppress_covered,
@@ -954,25 +936,16 @@ class BrokerRuntime:
                     trace_id=self.periods_run + 1, target=target,
                     merged_brokers=len(broker.delta_brokers),
                 )
-            if self.propagation_mode == "delta":
-                base = broker.link_generations_out.get(target, 0)
-                generation = base + 1
-                broker.link_generations_out[target] = generation
-                message: Message = SummaryDeltaMessage(
-                    adds=broker.delta_summary.copy(),
-                    removed=frozenset(broker.delta_removed),
-                    merged_brokers=frozenset(broker.delta_brokers),
-                    base_generation=base,
-                    generation=generation,
-                )
-            else:
-                message = SummaryMessage(
-                    summary=broker.delta_summary.copy(),
-                    merged_brokers=frozenset(broker.delta_brokers),
-                )
-                # A full frame restarts the chain towards this neighbor.
-                broker.link_generations_out[target] = 0
-            self.network.send(self.broker_id, target, message)
+            base = broker.link_generations_out.get(target, 0)
+            generation = base + 1
+            broker.link_generations_out[target] = generation
+            self.network.send(self.broker_id, target, SummaryDeltaMessage(
+                adds=broker.delta_summary.copy(),
+                removed=frozenset(broker.delta_removed),
+                merged_brokers=frozenset(broker.delta_brokers),
+                base_generation=base,
+                generation=generation,
+            ))
         await self._pump()
         return target
 
@@ -1059,18 +1032,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--period-interval", type=float, default=0.0,
                         help="seconds between timer-driven propagation acts "
                              "(0 = only explicit/cluster-driven periods)")
-    parser.add_argument("--matcher", choices=("reference", "compiled"),
-                        default="compiled",
-                        help="event-matching engine (default: compiled — the "
-                             "batched fast path; 'reference' is deprecated on "
-                             "the live path and kept for debugging)")
     parser.add_argument("--precision", choices=("coarse", "exact"),
                         default="coarse")
-    parser.add_argument("--propagation-mode", choices=PROPAGATION_MODES,
-                        default="delta",
-                        help="summary propagation framing (default: delta — "
-                             "incremental frames with full-summary fallback; "
-                             "'full' re-ships the whole period summary)")
     parser.add_argument("--queue-frames", type=int, default=DEFAULT_QUEUE_FRAMES)
     parser.add_argument("--batch-frames", type=int, default=DEFAULT_BATCH_FRAMES,
                         help="max frames per inbound dispatch batch")
@@ -1079,27 +1042,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def warn_reference_matcher(prog: str) -> None:
-    """Deprecation note for explicitly selecting the reference matcher on
-    the live path (it remains the simulator/figure-reproduction engine)."""
-    print(
-        f"{prog}: warning: '--matcher reference' on the live runtime is "
-        f"deprecated — it matches one event at a time and will not keep up "
-        f"under load; the compiled engine is semantically identical "
-        f"(differential-tested) and now the default.",
-        file=sys.stderr,
-        flush=True,
-    )
-
-
 async def _serve(args: argparse.Namespace) -> None:
     runtime = BrokerRuntime(
         args.broker_id,
         named_topology(args.topology),
         stock_schema(),
         precision=Precision(args.precision),
-        matcher=args.matcher,
-        propagation_mode=args.propagation_mode,
         period_interval=args.period_interval or None,
         queue_frames=args.queue_frames,
         batch_frames=args.batch_frames,
@@ -1123,8 +1071,6 @@ async def _serve(args: argparse.Namespace) -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.matcher == "reference":
-        warn_reference_matcher("repro-broker")
     try:
         asyncio.run(_serve(args))
     except KeyboardInterrupt:  # pragma: no cover - interactive only

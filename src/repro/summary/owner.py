@@ -10,33 +10,18 @@ index of Shi et al. (arXiv:1811.07088), instead of calling
 
 Every live subscription holds one *slot* (a bit position); slots of
 removed subscriptions are recycled through a free list, lowest first, so
-masks stay as short as the peak live population.  The index keeps:
+masks stay as short as the peak live population.  The index keeps one
+slot-mask table per attribute (:mod:`repro.summary.tables`, the tables the
+compiled summary matcher snapshots into) and, per ``c3`` signature, the
+mask of its member slots.  A slot matches when it sits in the hit mask of
+every attribute of its signature.
 
-* **per arithmetic attribute** — a total partition of the real line into
-  rows, each carrying the mask of the slots whose constraint set contains
-  it.  Rows are keyed by their first value: an open lower bound ``lo``
-  starts at ``math.nextafter(lo, inf)``, which is exact on floats, so one
-  :func:`bisect.bisect_right` finds the row of an event value.  An insert
-  cuts at most twice and ORs its bit into the rows it spans; a removal
-  clears the bit and drops every cut whose two rows end up with equal
-  masks, so the partition stays canonical (at most two cuts per live
-  interval).  Equality points live in a dict beside the rows;
-* **per string attribute** — a dict from literal value to mask (a
-  conjunction holding an ``=`` collapses to that literal, or to nothing
-  when the rest contradicts it), dicts for pure prefixes and suffixes
-  probed once per distinct key length, and the other patterns, one entry
-  per distinct pattern, bucketed by their anchor
-  (:func:`repro.summary.compiled._anchor_of`) so an event value only tries
-  the patterns that could match it;
-* **per** ``c3`` **signature** — the mask of its member slots.
-
-A slot matches when it sits in the hit mask of every attribute of its
-signature — the same identity the compiled summary matcher rests on
-(:mod:`repro.summary.compiled`), built here from the raw constraints
-(:func:`~repro.summary.intervals.intervals_for_conjunction`,
-:func:`~repro.summary.patterns.pattern_for_constraint`) so it is exact and
-updates in place.  Infinite bounds include the infinities themselves, as
-:meth:`Constraint.matches` does.
+Unlike the compiled snapshot, the index is built from the raw constraints
+and updated in place, so it is exact: an arithmetic conjunction becomes
+its intervals (:func:`~repro.summary.intervals.intervals_for_conjunction`),
+a string conjunction holding an ``=`` collapses to that literal (or to
+nothing when the rest contradicts it), and any other string constraints
+become one pattern (:func:`~repro.summary.patterns.pattern_for_constraint`).
 
 The differential in ``tests/summary/test_owner_index.py`` holds the index
 equal to :meth:`Subscription.matches` under interleaved add/remove.
@@ -45,8 +30,6 @@ equal to :meth:`Subscription.matches` under interleaved add/remove.
 from __future__ import annotations
 
 import heapq
-import math
-from bisect import bisect_left, bisect_right
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.model.constraints import Operator
@@ -54,221 +37,11 @@ from repro.model.events import Event
 from repro.model.ids import SubscriptionId
 from repro.model.schema import Schema
 from repro.model.subscriptions import Subscription
-from repro.summary.compiled import _anchor_of, ids_of_bits
 from repro.summary.intervals import interval_for_constraint, intervals_for_conjunction
 from repro.summary.patterns import ConjunctionPattern, pattern_for_constraint
+from repro.summary.tables import IntervalTable, PatternTable, ids_of_bits
 
 __all__ = ["OwnerIndex"]
-
-_INF = math.inf
-
-
-class _Line:
-    """One arithmetic attribute: canonical row partition + equality points."""
-
-    __slots__ = ("cuts", "masks", "points")
-
-    def __init__(self) -> None:
-        #: Sorted row starts; row ``i`` holds the values in
-        #: ``[cuts[i], cuts[i + 1])``.  The first row starts at -inf.
-        self.cuts: List[float] = [-_INF]
-        self.masks: List[int] = [0]
-        self.points: Dict[float, int] = {}
-
-    def lookup(self, value) -> int:
-        value = float(value)
-        mask = self.masks[bisect_right(self.cuts, value) - 1]
-        points = self.points
-        if points:
-            mask |= points.get(value, 0)
-        return mask
-
-    def update(self, bit: int, constraints, add: bool) -> None:
-        intervals = (
-            interval_for_constraint(constraints[0]) if len(constraints) == 1
-            else intervals_for_conjunction(constraints)
-        )
-        for interval in intervals:
-            if interval.is_point:
-                _toggle(self.points, interval.lo, bit, add)
-                continue
-            lo, hi = interval.lo, interval.hi
-            start = lo if lo == -_INF or not interval.lo_open else math.nextafter(lo, _INF)
-            first = self._cut(start)
-            if hi == _INF:
-                end = len(self.cuts)
-            else:
-                end = self._cut(hi if interval.hi_open else math.nextafter(hi, _INF))
-            masks = self.masks
-            if add:
-                masks[first:end] = [mask | bit for mask in masks[first:end]]
-            else:
-                clear = ~bit
-                masks[first:end] = [mask & clear for mask in masks[first:end]]
-            # Only the two boundary cuts can have become redundant: rows
-            # inside the span all gained (or lost) the same bit.
-            self._merge(end)
-            self._merge(first)
-
-    def _cut(self, key: float) -> int:
-        """The index of the row starting at ``key``, splitting one if needed."""
-        cuts = self.cuts
-        i = bisect_left(cuts, key)
-        if i == len(cuts) or cuts[i] != key:
-            cuts.insert(i, key)
-            self.masks.insert(i, self.masks[i - 1])
-        return i
-
-    def _merge(self, i: int) -> None:
-        """Drop cut ``i`` when the rows on both sides carry equal masks."""
-        masks = self.masks
-        if 0 < i < len(masks) and masks[i - 1] == masks[i]:
-            del self.cuts[i]
-            del masks[i]
-
-    @property
-    def empty(self) -> bool:
-        return len(self.cuts) == 1 and not self.masks[0] and not self.points
-
-    def canonical(self) -> Tuple:
-        return (tuple(self.cuts), tuple(self.masks), dict(self.points))
-
-
-class _Pattern:
-    """One distinct string pattern and the mask of the slots holding it."""
-
-    __slots__ = ("matches", "mask")
-
-    def __init__(self, matches) -> None:
-        self.matches = matches
-        self.mask = 0
-
-
-class _Strings:
-    """One string attribute: literal, prefix and suffix dicts plus the
-    other patterns bucketed by anchor."""
-
-    __slots__ = (
-        "literals", "prefixes", "prefix_lengths", "suffixes", "suffix_lengths",
-        "heads", "tails", "unanchored", "patterns",
-    )
-
-    def __init__(self) -> None:
-        self.literals: Dict[str, int] = {}
-        #: ``>*`` heads and ``*<`` tails -> mask, plus how many keys each
-        #: length has: a value is looked up once per distinct length.
-        self.prefixes: Dict[str, int] = {}
-        self.prefix_lengths: Dict[int, int] = {}
-        self.suffixes: Dict[str, int] = {}
-        self.suffix_lengths: Dict[int, int] = {}
-        self.heads: Dict[str, List[_Pattern]] = {}
-        self.tails: Dict[str, List[_Pattern]] = {}
-        self.unanchored: List[_Pattern] = []
-        #: Pattern key -> its bucketed entry (identical patterns share one).
-        self.patterns: Dict[Tuple, _Pattern] = {}
-
-    def lookup(self, value) -> int:
-        mask = self.literals.get(value, 0)
-        prefixes = self.prefixes
-        if prefixes:
-            for length in self.prefix_lengths:
-                mask |= prefixes.get(value[:length], 0)
-        suffixes = self.suffixes
-        if suffixes:
-            for length in self.suffix_lengths:
-                mask |= suffixes.get(value[-length:], 0)
-        if value:
-            for entry in self.heads.get(value[0], ()):
-                if entry.matches(value):
-                    mask |= entry.mask
-            for entry in self.tails.get(value[-1], ()):
-                if entry.matches(value):
-                    mask |= entry.mask
-        for entry in self.unanchored:
-            if entry.matches(value):
-                mask |= entry.mask
-        return mask
-
-    def update(self, bit: int, constraints, add: bool) -> None:
-        literal = next(
-            (c.value for c in constraints if c.operator is Operator.EQ), None
-        )
-        if literal is not None:
-            if all(c.matches(literal) for c in constraints):
-                _toggle(self.literals, literal, bit, add)
-            return  # else contradictory: the slot admits no value here
-        parts = [pattern_for_constraint(c) for c in constraints]
-        pattern = parts[0] if len(parts) == 1 else ConjunctionPattern(parts)
-        pieces = getattr(pattern, "pieces", ())
-        if len(pieces) == 2 and bool(pieces[0]) != bool(pieces[1]):
-            # A pure prefix (``head*``) or suffix (``*tail``): no
-            # predicate call at lookup, one dict probe per key length.
-            head, tail = pieces
-            if head:
-                if _toggle(self.prefixes, head, bit, add):
-                    _count(self.prefix_lengths, len(head), add)
-            elif _toggle(self.suffixes, tail, bit, add):
-                _count(self.suffix_lengths, len(tail), add)
-            return
-        key = pattern.key()
-        entry = self.patterns.get(key)
-        anchor = _anchor_of(pattern)
-        if anchor is None:
-            bucket = self.unanchored
-        else:
-            kind, char = anchor
-            buckets = self.heads if kind == "head" else self.tails
-            bucket = buckets.setdefault(char, [])
-        if add:
-            if entry is None:
-                entry = self.patterns[key] = _Pattern(pattern.matches)
-                bucket.append(entry)
-            entry.mask |= bit
-            return
-        entry.mask &= ~bit
-        if not entry.mask:
-            del self.patterns[key]
-            bucket.remove(entry)
-            if anchor is not None and not bucket:
-                del buckets[char]
-
-    @property
-    def empty(self) -> bool:
-        return not self.entries
-
-    @property
-    def entries(self) -> int:
-        """Distinct literals and patterns held."""
-        return (
-            len(self.literals) + len(self.prefixes) + len(self.suffixes)
-            + len(self.patterns)
-        )
-
-    def canonical(self) -> Tuple:
-        return (
-            dict(self.literals), dict(self.prefixes), dict(self.suffixes),
-            {key: entry.mask for key, entry in self.patterns.items()},
-        )
-
-
-def _toggle(masks: Dict, key, bit: int, add: bool) -> bool:
-    """OR ``bit`` into (or clear it from) ``masks[key]``, dropping a key
-    whose mask empties; returns whether the key appeared or went."""
-    old = masks.get(key, 0)
-    new = old | bit if add else old & ~bit
-    if new:
-        masks[key] = new
-    else:
-        del masks[key]
-    return not old or not new
-
-
-def _count(counts: Dict[int, int], length: int, add: bool) -> None:
-    left = counts.get(length, 0) + (1 if add else -1)
-    if left:
-        counts[length] = left
-    else:
-        del counts[length]
 
 
 class OwnerIndex:
@@ -285,7 +58,7 @@ class OwnerIndex:
         self._free: List[int] = []
         #: ``c3`` -> ``[members mask, attribute names of c3]``.
         self._signatures: Dict[int, list] = {}
-        #: Attribute name -> its :class:`_Line` or :class:`_Strings`.
+        #: Attribute name -> its :class:`IntervalTable` or :class:`PatternTable`.
         self._tables: Dict[str, object] = {}
 
     # -- maintenance -----------------------------------------------------------
@@ -333,9 +106,11 @@ class OwnerIndex:
                 if not add:
                     continue
                 table = tables[name] = (
-                    _Strings() if constraints[0].attr_type.is_string else _Line()
+                    PatternTable() if constraints[0].attr_type.is_string
+                    else IntervalTable()
                 )
-            table.update(bit, constraints, add)
+            for entry in _entries(constraints):
+                table.update(entry, bit, add)
             if not add and table.empty:
                 del tables[name]
 
@@ -401,13 +176,7 @@ class OwnerIndex:
     def sizes(self) -> Dict[str, Dict[str, int]]:
         """Per attribute: ``rows`` and ``points`` of an arithmetic table,
         distinct literal and pattern ``entries`` of a string table."""
-        out: Dict[str, Dict[str, int]] = {}
-        for name, table in self._tables.items():
-            if isinstance(table, _Line):
-                out[name] = {"rows": len(table.cuts), "points": len(table.points)}
-            else:
-                out[name] = {"entries": table.entries}
-        return out
+        return {name: table.sizes() for name, table in self._tables.items()}
 
     def canonical(self) -> Tuple:
         """Everything matching depends on, in a comparable form.  The
@@ -435,3 +204,20 @@ class OwnerIndex:
             fresh._slot_of[sid] = slot
             fresh._index(slot, sid, subscription, True)
         return fresh
+
+
+def _entries(constraints) -> Iterable:
+    """What a conjunction of constraints on one attribute puts in its
+    table: its intervals on an arithmetic attribute; on a string attribute
+    one pattern, or none when the conjunction admits no value."""
+    if not constraints[0].attr_type.is_string:
+        if len(constraints) == 1:
+            return interval_for_constraint(constraints[0])
+        return intervals_for_conjunction(constraints)
+    literal = next((c for c in constraints if c.operator is Operator.EQ), None)
+    if literal is not None:
+        if all(c.matches(literal.value) for c in constraints):
+            return (pattern_for_constraint(literal),)
+        return ()
+    parts = [pattern_for_constraint(c) for c in constraints]
+    return (parts[0] if len(parts) == 1 else ConjunctionPattern(parts),)

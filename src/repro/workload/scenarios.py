@@ -681,8 +681,7 @@ def run_scenario_sim(config: ScenarioConfig) -> ScenarioOutcome:
 
     script = build_script(config)
     system = SummaryPubSub(
-        script.topology, script.schema,
-        value_width=ValueWidth.F64, matcher="compiled",
+        script.topology, script.schema, value_width=ValueWidth.F64
     )
     sid_by_serial: Dict[int, SubscriptionId] = {}
     serial_by_sid: Dict[Tuple[int, SubscriptionId], int] = {}

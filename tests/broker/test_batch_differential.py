@@ -17,7 +17,8 @@ from different brokers.  Three systems consume the identical schedule:
 
 * sequential + compiled matcher (the pre-batching live configuration),
 * batched + compiled matcher (the live runtime's actual hot path),
-* sequential + reference matcher (the Algorithm-1 oracle).
+* sequential + the reference Algorithm-1 walk (the oracle: its brokers'
+  summary check is pointed at ``kept_summary.match``).
 
 All three must produce the same delivery multiset, burst by burst, and
 the batched system must also agree on hop counts — batching must not
@@ -84,8 +85,14 @@ def schedules(draw):
     return name, subscriptions, bursts
 
 
-def build_system(topology, subscriptions, matcher):
-    system = SummaryPubSub(topology, popularity_schema(), matcher=matcher)
+def build_system(topology, subscriptions, reference=False):
+    system = SummaryPubSub(topology, popularity_schema())
+    if reference:
+        for broker in system.brokers.values():
+            broker.match_kept = lambda event, b=broker: b.kept_summary.match(event)
+            broker.match_kept_many = lambda events, b=broker: [
+                b.kept_summary.match(event) for event in events
+            ]
     sids = []
     for home, target in subscriptions:
         sids.append(system.subscribe(home, probe_subscription(target)))
@@ -106,9 +113,9 @@ def delivery_multiset(result):
 def test_batched_equals_sequential_for_any_interleaving(scenario):
     name, subscriptions, bursts = scenario
     topology = TOPOLOGY_BUILDERS[name]()
-    batched, _ = build_system(topology, subscriptions, "compiled")
-    sequential, _ = build_system(topology, subscriptions, "compiled")
-    oracle, _ = build_system(topology, subscriptions, "reference")
+    batched, _ = build_system(topology, subscriptions)
+    sequential, _ = build_system(topology, subscriptions)
+    oracle, _ = build_system(topology, subscriptions, reference=True)
 
     for ingress, matched_sets in bursts:
         events = [popularity_event(matched) for matched in matched_sets]
@@ -143,7 +150,7 @@ def test_duplicated_burst_is_fully_redelivered(scenario):
     dedup LRU must never confuse re-publishes with retransmits."""
     name, subscriptions, bursts = scenario
     topology = TOPOLOGY_BUILDERS[name]()
-    system, _ = build_system(topology, subscriptions, "compiled")
+    system, _ = build_system(topology, subscriptions)
 
     ingress, matched_sets = bursts[0]
     events = [popularity_event(matched) for matched in matched_sets]
@@ -154,7 +161,7 @@ def test_duplicated_burst_is_fully_redelivered(scenario):
 
 def test_empty_burst_is_a_no_op():
     topology = Topology.line(4)
-    system, _ = build_system(topology, [(0, 1), (3, 1)], "compiled")
+    system, _ = build_system(topology, [(0, 1), (3, 1)])
     result = system.publish_batch(2, [])
     assert result.deliveries == []
     assert result.hops == 0
@@ -163,7 +170,7 @@ def test_empty_burst_is_a_no_op():
 def test_burst_with_duplicate_events_delivers_each():
     """The same event twice in one burst is two publishes, not one."""
     topology = Topology.line(4)
-    system, sids = build_system(topology, [(3, 3)], "compiled")
+    system, sids = build_system(topology, [(3, 3)])
     event = popularity_event({3})
     result = system.publish_batch(0, [event, event, event])
     assert delivery_multiset(result) == Counter({(3, sids[0], event): 3})

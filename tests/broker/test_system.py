@@ -1,11 +1,12 @@
 """End-to-end SummaryPubSub: delivery oracle, storage, churn."""
 
+import math
 import random
 
 import pytest
 
 from repro.broker.system import SummaryPubSub
-from repro.model import Event, parse_subscription, stock_schema
+from repro.model import Event, SchemaError, parse_subscription, stock_schema
 from repro.network import Topology, cable_wireless_24
 from repro.summary import Precision
 from repro.workload import WorkloadConfig, WorkloadGenerator
@@ -38,6 +39,18 @@ class TestDeliveryOracle:
         _, system = loaded_system
         with pytest.raises(Exception):
             system.publish(0, Event.of(nonexistent=1.0))
+
+    def test_publish_rejects_non_finite_values(self, schema):
+        """Summaries place NaN and the infinities where
+        ``Subscription.matches`` does not: ``inf`` missed ``price > 5``
+        and ``nan`` was delivered against it."""
+        system = SummaryPubSub(Topology.line(2), schema, precision=Precision.EXACT)
+        system.subscribe(1, parse_subscription(schema, "price > 5"))
+        system.run_propagation_period()
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(SchemaError, match="not finite"):
+                system.publish(0, Event.of(price=value))
+        assert system.publish(0, Event.of(price=6.0)).deliveries
 
     def test_publish_result_metrics_are_deltas(self, loaded_system):
         generator, system = loaded_system

@@ -1,5 +1,7 @@
 """Schema ordering, c3 masks, and validation."""
 
+import math
+
 import pytest
 
 from repro.model.attributes import AttributeSpec
@@ -93,6 +95,11 @@ class TestValidation:
         event = Event.of(price=8)  # INTEGER, schema says FLOAT
         with pytest.raises(SchemaError):
             schema.validate_event(event)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_event_with_non_finite_value(self, schema, value):
+        with pytest.raises(SchemaError, match="not finite"):
+            schema.validate_event(Event.of(price=value))
 
     def test_event_with_unknown_attribute(self, schema):
         with pytest.raises(SchemaError):

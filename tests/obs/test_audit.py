@@ -173,9 +173,7 @@ def test_audit_dedup_raises_on_system(small_workload):
 
 
 def test_compiled_accounting(schema, paper_subscriptions, paper_event):
-    broker, _sids = _settled_broker(
-        schema, paper_subscriptions, matcher="compiled"
-    )
+    broker, _sids = _settled_broker(schema, paper_subscriptions)
     broker.match_kept(paper_event)  # builds + binds the snapshot
     auditor = SummaryAuditor(schema)
     assert "compiled-accounting" not in _checks(auditor.audit_broker(broker))
@@ -219,9 +217,7 @@ def _desync_compiled(broker, sid, attribute):
 def test_paranoid_match_detects_compiled_divergence(
     schema, paper_subscriptions, paper_event
 ):
-    broker, sids = _settled_broker(
-        schema, paper_subscriptions, matcher="compiled"
-    )
+    broker, sids = _settled_broker(schema, paper_subscriptions)
     broker.paranoid = True
     assert sids[0] in broker.match_kept(paper_event)  # parity holds
     _desync_compiled(broker, sids[0], "price")
@@ -230,9 +226,7 @@ def test_paranoid_match_detects_compiled_divergence(
 
 
 def test_check_match_parity_helper(schema, paper_subscriptions, paper_event):
-    broker, sids = _settled_broker(
-        schema, paper_subscriptions, matcher="compiled"
-    )
+    broker, sids = _settled_broker(schema, paper_subscriptions)
     broker.match_kept(paper_event)
     assert SummaryAuditor.check_match_parity(broker, paper_event) is None
     _desync_compiled(broker, sids[0], "price")
@@ -245,9 +239,7 @@ def test_unparanoid_match_misses_the_divergence(
 ):
     """Without paranoid mode the same corruption sails through — the
     contrast that justifies the cross-check's existence."""
-    broker, sids = _settled_broker(
-        schema, paper_subscriptions, matcher="compiled"
-    )
+    broker, sids = _settled_broker(schema, paper_subscriptions)
     broker.match_kept(paper_event)
     _desync_compiled(broker, sids[0], "price")
     assert sids[0] in broker.match_kept(paper_event)  # stale, undetected

@@ -40,7 +40,6 @@ class ParanoidSystemMachine(RuleBasedStateMachine):
         self.system = SummaryPubSub(
             paper_example_tree(),
             self.generator.schema,
-            matcher="compiled",  # paranoid also cross-checks vs reference
             tracer=self.tracer,
             paranoid=True,
         )

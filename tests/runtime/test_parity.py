@@ -56,8 +56,7 @@ def batched_simulator_deliveries(topology, schema, subscriptions, ticks):
     """Like :func:`simulator_deliveries` but bursting via ``publish_batch``
     (the router entry point the live dispatch loop uses)."""
     system = SummaryPubSub(
-        topology, schema, value_width=ValueWidth.F64, paranoid=True,
-        matcher="compiled",
+        topology, schema, value_width=ValueWidth.F64, paranoid=True
     )
     for broker, subscription in subscriptions:
         system.subscribe(broker, subscription)

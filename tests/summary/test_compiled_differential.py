@@ -16,7 +16,7 @@ The example budget is configurable for CI's high-budget differential job:
 
 import os
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.model.attributes import AttributeSpec
 from repro.model.constraints import (
@@ -130,17 +130,71 @@ def _populate(schema, subscriptions, precision, broker=0, first_local=0):
 # -- the three-way differential ----------------------------------------------
 
 
+@st.composite
+def scenarios(draw):
+    """A schema, one broker's subscriptions, a second broker's subscriptions
+    merged into its summary, and events."""
+    schema = draw(schemas())
+    subs = draw(st.lists(subscriptions_for(schema), max_size=8))
+    merged = draw(st.lists(subscriptions_for(schema), max_size=3))
+    events = draw(st.lists(events_for(schema), min_size=5, max_size=5))
+    return schema, subs, merged, events
+
+
+_PRICE = Schema([AttributeSpec("a0", AttributeType.FLOAT)])
+
+
+def _price(*constraints):
+    return Subscription([
+        Constraint(name="a0", attr_type=AttributeType.FLOAT, operator=op, value=value)
+        for op, value in constraints
+    ])
+
+
+def _prices(*values):
+    return [Event.from_pairs([("a0", AttributeType.FLOAT, v)]) for v in values]
+
+
+#: Open and closed bounds meeting at one value, both ways round.
+_BOUNDS_MEET = (
+    _PRICE,
+    [_price((Operator.GT, 1.0)), _price((Operator.LE, 1.0)),
+     _price((Operator.GE, 1.5)), _price((Operator.LT, 1.5))],
+    [],
+    _prices(0.5, 1.0, 1.5, 2.5),
+)
+#: An equality point merged into a summary whose range row contains it.
+_POINT_IN_ROW = (
+    _PRICE,
+    [_price((Operator.GT, 0.0), (Operator.LT, 2.5))],
+    [_price((Operator.EQ, 1.0))],
+    _prices(0.5, 1.0, 4.0),
+)
+
+
 @DIFF_SETTINGS
-@given(data=st.data(), precision=st.sampled_from(list(Precision)))
-def test_compiled_equals_reference(data, precision):
+@given(scenario=scenarios(), precision=st.sampled_from(list(Precision)))
+@example(scenario=_BOUNDS_MEET, precision=Precision.EXACT)
+@example(scenario=_BOUNDS_MEET, precision=Precision.COARSE)
+@example(scenario=_POINT_IN_ROW, precision=Precision.EXACT)
+@example(scenario=_POINT_IN_ROW, precision=Precision.COARSE)
+def test_compiled_equals_reference(scenario, precision):
     """CompiledMatcher.match ≡ match_event on any summary, any event."""
-    schema = data.draw(schemas())
-    subs = data.draw(st.lists(subscriptions_for(schema), max_size=8))
-    summary, _naive, _sids = _populate(schema, subs, precision)
+    schema, subs, merged, events = scenario
+    summary, naive, _sids = _populate(schema, subs, precision)
+    other, other_naive, _other_sids = _populate(
+        schema, merged, precision, broker=1, first_local=len(subs)
+    )
+    summary.merge(other)
     compiled = CompiledMatcher(summary)
-    for _ in range(5):
-        event = data.draw(events_for(schema))
-        assert compiled.match(event) == match_event(summary, event)
+    for event in events:
+        matched = compiled.match(event)
+        assert matched == match_event(summary, event)
+        truth = naive.match(event) | other_naive.match(event)
+        if precision is Precision.EXACT:
+            assert matched == truth
+        else:
+            assert matched >= truth
 
 
 @DIFF_SETTINGS
