@@ -29,6 +29,7 @@ from repro.model.schema import Schema
 from repro.model.subscriptions import Subscription
 from repro.obs.tracing import NULL_TRACER
 from repro.summary.compiled import CompiledMatcher
+from repro.summary.covering import subscription_covers
 from repro.summary.maintenance import SubscriptionStore
 from repro.summary.precision import Precision
 from repro.summary.summary import BrokerSummary
@@ -128,9 +129,11 @@ class SummaryBroker:
         self.link_generations_in: Dict[int, int] = {}
 
         # -- covered-id suppression (folded in from repro.ext.hybrid) --
-        #: Frontier of covering subscriptions: only frontier members are
-        #: summarized and propagated; covered ids never hit the wire.
-        self._frontier = None  # Optional[SidCoveringIndex]
+        #: Slot mask (over the store index) of the frontier of covering
+        #: subscriptions: only frontier members are summarized and
+        #: propagated; covered ids never hit the wire.  None without
+        #: suppression.
+        self._frontier: Optional[int] = 0 if suppress_covered else None
         #: coverer sid -> ids it suppresses (and the inverse map).
         self._covered_by: Dict[SubscriptionId, Set[SubscriptionId]] = {}
         self._coverer_of: Dict[SubscriptionId, SubscriptionId] = {}
@@ -146,16 +149,10 @@ class SummaryBroker:
         #: Live frontier member -> its *closure mask* over the store
         #: index's slots: its own bit plus the bits of the ids it covers.
         #: Kept exact wherever ``_covered_by`` changes; ``deliver`` ORs
-        #: closures instead of expanding covered ids.  Empty without
-        #: suppression, where every id stands for its own bit alone.
+        #: closures instead of expanding covered ids.  Its keys are the
+        #: frontier members.  Empty without suppression, where every id
+        #: stands for its own bit alone.
         self._closures: Dict[SubscriptionId, int] = {}
-        if suppress_covered:
-            # Deferred import: the siena package's __init__ imports the
-            # siena broker, which imports this module — resolvable only
-            # after both modules finish loading.
-            from repro.siena.poset import SidCoveringIndex
-
-            self._frontier = SidCoveringIndex()
 
         # -- statistics --
         #: Consumer hand-offs so far; each one went to :attr:`on_delivery`.
@@ -181,17 +178,8 @@ class SummaryBroker:
         presence in remote summaries already routes those events here.
         """
         sid = self.store.subscribe(subscription)
-        if self._frontier is not None:
-            bit = self.store.index.bit_of(sid)
-            coverer = self._frontier.find_coverer(subscription)
-            if coverer is not None:
-                self._coverer_of[sid] = coverer
-                self._covered_by.setdefault(coverer, set()).add(sid)
-                self._closures[coverer] |= bit
-                return sid
-            self._frontier.add(sid, subscription)
-            self._closures[sid] = bit
-        self.pending.append((sid, subscription))
+        if self._frontier is None or self._cover_or_join(sid, subscription):
+            self.pending.append((sid, subscription))
         return sid
 
     def unsubscribe(self, sid: SubscriptionId) -> bool:
@@ -247,8 +235,8 @@ class SummaryBroker:
             self.delta_removed.add(sid)  # rides this period's delta frame
         else:
             self.removed_pending.add(sid)  # ships next period
-        if self._frontier is not None and sid in self._frontier:
-            self._frontier_remove(sid)
+        if sid in self._closures:
+            self._frontier_remove(sid, bit)
         return True
 
     # -- propagation-period state (driven by PropagationEngine) -----------------
@@ -368,7 +356,7 @@ class SummaryBroker:
         if self._frontier is None:
             return self.store.build_summary(self.precision)
         summary = BrokerSummary(self.schema, self.precision)
-        for sid, subscription in sorted(self._frontier.items()):
+        for sid, subscription in self.refresh_batch():
             summary.add(subscription, sid)
         return summary
 
@@ -377,7 +365,8 @@ class SummaryBroker:
         stored one, or only the frontier members under suppression."""
         if self._frontier is None:
             return list(self.store.items())
-        return sorted(self._frontier.items())
+        get = self.store.get
+        return [(sid, get(sid)) for sid in sorted(self._closures)]
 
     def reset_merged_state(self) -> None:
         """Forget remote knowledge (full-refresh support): the kept summary
@@ -426,9 +415,37 @@ class SummaryBroker:
     def frontier_size(self) -> int:
         """Frontier members (0 with suppression disabled — everything is
         propagated, nothing is tracked)."""
-        return len(self._frontier) if self._frontier is not None else 0
+        return len(self._closures)
 
-    def _frontier_remove(self, sid: SubscriptionId) -> None:
+    def _coverer_for(
+        self, sid: SubscriptionId, subscription: Subscription
+    ) -> Optional[SubscriptionId]:
+        """The frontier member that covers ``subscription`` (stored as
+        ``sid``), or None: the first, in slot order, of the store index's
+        covering candidates among the frontier that really covers it."""
+        index = self.store.index
+        candidates = index.covering_within(subscription, sid.attr_mask, self._frontier)
+        get = self.store.get
+        for member in index.ids_of(candidates):
+            if subscription_covers(get(member), subscription):
+                return member
+        return None
+
+    def _cover_or_join(self, sid: SubscriptionId, subscription: Subscription) -> bool:
+        """File ``sid`` under a frontier member that covers it, or make it
+        a frontier member; returns whether it joined the frontier."""
+        bit = self.store.index.bit_of(sid)
+        coverer = self._coverer_for(sid, subscription)
+        if coverer is None:
+            self._frontier |= bit
+            self._closures[sid] = bit
+            return True
+        self._coverer_of[sid] = coverer
+        self._covered_by.setdefault(coverer, set()).add(sid)
+        self._closures[coverer] |= bit
+        return False
+
+    def _frontier_remove(self, sid: SubscriptionId, bit: int) -> None:
         """Drop a frontier member and re-home the ids it covered.
 
         Strictly local (the incremental rebuild): only ``sid``'s own
@@ -437,9 +454,10 @@ class SummaryBroker:
         ``kept_summary`` (it must match local events immediately) and
         ``pending`` (remote brokers learn it next period).  Orphans are
         processed in sorted order, so a promoted orphan can deterministically
-        become the coverer of its later siblings.
+        become the coverer of its later siblings.  ``bit`` is the slot bit
+        ``sid`` held.
         """
-        self._frontier.remove(sid)
+        self._frontier &= ~bit
         del self._closures[sid]
         orphans = self._covered_by.pop(sid, set())
         survivors = {
@@ -452,20 +470,10 @@ class SummaryBroker:
             if len(self._ghost_covers) > self._dedup_capacity:
                 self._ghost_covers.popitem(last=False)
         for orphan in sorted(orphans):
-            subscription = self.store.get(orphan)
-            if subscription is None:
-                del self._coverer_of[orphan]
-                continue
-            coverer = self._frontier.find_coverer(subscription)
-            bit = self.store.index.bit_of(orphan)
-            if coverer is not None:
-                self._coverer_of[orphan] = coverer
-                self._covered_by.setdefault(coverer, set()).add(orphan)
-                self._closures[coverer] |= bit
-                continue
             del self._coverer_of[orphan]
-            self._frontier.add(orphan, subscription)
-            self._closures[orphan] = bit
+            subscription = self.store.get(orphan)
+            if subscription is None or not self._cover_or_join(orphan, subscription):
+                continue
             self.kept_summary.add(subscription, orphan)
             self.pending.append((orphan, subscription))
             if (
@@ -487,20 +495,9 @@ class SummaryBroker:
         """Recompute the frontier and cover maps from the store (refresh
         support — unsubscribe churn may have left the frontier larger than
         it needs to be, since adds never evict)."""
-        from repro.siena.poset import SidCoveringIndex
-
-        frontier = SidCoveringIndex()
-        self._covered_by = {}
-        self._coverer_of = {}
+        self._clear_suppression()
         for sid, subscription in sorted(self.store.items()):
-            coverer = frontier.find_coverer(subscription)
-            if coverer is None:
-                frontier.add(sid, subscription)
-            else:
-                self._coverer_of[sid] = coverer
-                self._covered_by.setdefault(coverer, set()).add(sid)
-        self._frontier = frontier
-        self._rebuild_closures()
+            self._cover_or_join(sid, subscription)
 
     def rebuild_suppression_from_state(self) -> None:
         """Reconstruct suppression maps after a snapshot restore.
@@ -513,45 +510,33 @@ class SummaryBroker:
         """
         if self._frontier is None:
             return
-        from repro.siena.poset import SidCoveringIndex
-
         visible = {
             sid for sid in self.kept_summary.all_ids() if sid.broker == self.broker_id
         }
         visible |= {sid for sid, _ in self.pending}
-        frontier = SidCoveringIndex()
-        self._covered_by = {}
-        self._coverer_of = {}
+        self._clear_suppression()
+        bit_of = self.store.index.bit_of
         rest: List[Tuple[SubscriptionId, Subscription]] = []
         for sid, subscription in sorted(self.store.items()):
             if sid in visible:
-                frontier.add(sid, subscription)
+                bit = bit_of(sid)
+                self._frontier |= bit
+                self._closures[sid] = bit
             else:
                 rest.append((sid, subscription))
-        self._frontier = frontier
         for sid, subscription in rest:
-            coverer = frontier.find_coverer(subscription)
-            if coverer is not None:
-                self._coverer_of[sid] = coverer
-                self._covered_by.setdefault(coverer, set()).add(sid)
-            else:
+            if self._cover_or_join(sid, subscription):
                 # Snapshot predates suppression (or was taken with it off):
                 # promote so the id keeps matching.
-                frontier.add(sid, subscription)
                 self.kept_summary.add(subscription, sid)
                 self.pending.append((sid, subscription))
-        self._rebuild_closures()
 
-    def _rebuild_closures(self) -> None:
-        """Recompute every closure mask from the cover maps."""
-        bit_of = self.store.index.bit_of
-        closures = {}
-        for sid in self._frontier.sids:
-            closure = bit_of(sid)
-            for covered in self._covered_by.get(sid, ()):
-                closure |= bit_of(covered)
-            closures[sid] = closure
-        self._closures = closures
+    def _clear_suppression(self) -> None:
+        """Reset the frontier and the cover maps to empty."""
+        self._frontier = 0
+        self._covered_by = {}
+        self._coverer_of = {}
+        self._closures = {}
 
     # -- event side -------------------------------------------------------------
 

@@ -21,10 +21,10 @@ defects of the prototype kept here for the ablation benchmarks:
   frontier members covered by a later, more general arrival — the evicted
   sid stayed in ``_summarized_sids`` while its subscription left the
   frontier.  The core path counts covered ids directly
-  (``len(_coverer_of)``) over a no-eviction
-  :class:`~repro.siena.poset.SidCoveringIndex`, so the counter is exact
-  by construction (asserted against recomputed ground truth in
-  ``tests/ext/test_hybrid.py``).
+  (``len(_coverer_of)``) over a frontier that never evicts (a slot mask
+  over the store's owner index, searched for coverers by one bitset
+  query), so the counter is exact by construction (asserted against
+  recomputed ground truth in ``tests/ext/test_hybrid.py``).
 
 These classes remain as thin aliases so existing experiment/benchmark
 code (``benchmarks/test_ablation_hybrid.py``) keeps working; the ablation

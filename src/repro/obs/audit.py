@@ -38,10 +38,11 @@ Invariants checked (per broker, against its kept multi-broker summary):
     propagation (``removed_pending`` / ``delta_removed``) are dead in the
     store, and the period-scoped block is empty between periods.
 9.  **Suppression accounting** — under covered-id suppression the frontier
-    and the covered set partition the store, the two cover maps are exact
-    inverses, every coverer is a live frontier member, covered ids never
-    appear in the kept summary or pending batch, and the ``suppressed``
-    counter equals the covered-map size.
+    and the covered set partition the store, the frontier slot mask holds
+    exactly the members' bits, the two cover maps are exact inverses,
+    every coverer is a live frontier member that covers its ids (sampled),
+    covered ids never appear in the kept summary or pending batch, and
+    the ``suppressed`` counter equals the covered-map size.
 10. **Owner accounting** — the store's
     :class:`~repro.summary.owner.OwnerIndex` gives exactly the stored ids
     a slot each, its signature masks partition the slots by ``c3``, its
@@ -69,6 +70,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from repro.model.constraints import Constraint, Operator
 from repro.model.ids import SubscriptionId
 from repro.model.schema import Schema
+from repro.summary.covering import subscription_covers
 from repro.summary.intervals import Interval, intervals_for_conjunction
 from repro.summary.summary import BrokerSummary
 
@@ -347,17 +349,29 @@ class SummaryAuditor:
 
     def _check_suppression_accounting(self, broker, violations: List[Violation]) -> None:
         """Covered-id suppression: the frontier and the covered set must
-        partition the store, every coverer must be a live frontier member,
-        the inverse maps must agree, and covered ids must stay out of the
-        kept summary and the pending batch (they never hit the wire)."""
+        partition the store, the frontier mask must hold exactly the
+        members' slots, every coverer must be a live frontier member that
+        covers its ids, the inverse maps must agree, and covered ids must
+        stay out of the kept summary and the pending batch (they never hit
+        the wire)."""
         frontier = getattr(broker, "_frontier", None)
         if frontier is None:
             return
         bid = broker.broker_id
-        live = broker.store.ids()
+        store = broker.store
+        live = store.ids()
         coverer_of = broker._coverer_of
         covered_by = broker._covered_by
-        frontier_sids = frontier.sids
+        frontier_sids = set(broker._closures)
+        members_mask = 0
+        for sid in frontier_sids:
+            members_mask |= store.index.bit_of(sid)
+        if frontier != members_mask:
+            violations.append(Violation(
+                "suppression-accounting", bid,
+                f"frontier mask disagrees with its members' slots on "
+                f"{(frontier ^ members_mask).bit_count()} slots",
+            ))
         for sid in sorted(frontier_sids - live)[:3]:
             violations.append(Violation(
                 "suppression-accounting", bid,
@@ -393,6 +407,16 @@ class SummaryAuditor:
                     "suppression-accounting", bid,
                     f"covered id {sid} points at coverer {coverer} that "
                     f"left the frontier",
+                ))
+                break
+            general, specific = store.get(coverer), store.get(sid)
+            if general is not None and specific is not None and not (
+                subscription_covers(general, specific)
+            ):
+                violations.append(Violation(
+                    "suppression-accounting", bid,
+                    f"covered id {sid} is recorded under {coverer}, which "
+                    f"does not cover it",
                 ))
                 break
         covered = set(coverer_of)
@@ -504,9 +528,8 @@ class SummaryAuditor:
                 "slots",
             ))
         bit_of = index.bit_of
-        frontier = broker._frontier
         recomputed = {}
-        for sid in frontier.sids if frontier is not None else ():
+        for sid in broker._closures:
             closure = bit_of(sid)
             for covered in broker._covered_by.get(sid, ()):
                 closure |= bit_of(covered)

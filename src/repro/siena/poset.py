@@ -11,14 +11,13 @@ it covers.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, Tuple
 
 from repro.model.events import Event
-from repro.model.ids import SubscriptionId
 from repro.model.subscriptions import Subscription
-from repro.siena.covering import subscription_covers
+from repro.summary.covering import subscription_covers
 
-__all__ = ["CoveringSet", "SidCoveringIndex"]
+__all__ = ["CoveringSet"]
 
 
 class CoveringSet:
@@ -88,84 +87,3 @@ class CoveringSet:
     def __repr__(self) -> str:
         return f"CoveringSet({self._count} members)"
 
-
-class SidCoveringIndex:
-    """A covering frontier keyed by subscription id.
-
-    The suppression path of :class:`~repro.broker.broker.SummaryBroker`
-    needs what :class:`CoveringSet` cannot give it: *which member* covers
-    a new subscription (so the covered id can be re-homed when its coverer
-    unsubscribes) and removal of one member by id without rebuilding the
-    whole structure.
-
-    Unlike :class:`CoveringSet`, adding a more general subscription does
-    NOT evict the members it covers.  Members only ever leave via
-    :meth:`remove` (an unsubscribe).  A non-minimal frontier is sound —
-    every member is summarized and propagated, extra members only cost a
-    few redundant summary entries — and it is what makes removal strictly
-    local: dropping member F can only affect the subscriptions F itself
-    covered, never reshuffle unrelated members.  (Eviction is exactly how
-    the old ``HybridBroker`` let its ``suppressed`` counter drift: evicted
-    members stayed summarized while silently leaving the frontier.)
-    """
-
-    __slots__ = ("_groups", "_members")
-
-    def __init__(self) -> None:
-        # FrozenSet[str] -> List[(sid, subscription)]
-        self._groups: dict = {}
-        self._members: Dict[SubscriptionId, Subscription] = {}
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __contains__(self, sid: SubscriptionId) -> bool:
-        return sid in self._members
-
-    def items(self) -> Iterator[Tuple[SubscriptionId, Subscription]]:
-        return iter(self._members.items())
-
-    @property
-    def sids(self) -> Set[SubscriptionId]:
-        return set(self._members)
-
-    def subscription_of(self, sid: SubscriptionId) -> Optional[Subscription]:
-        return self._members.get(sid)
-
-    def find_coverer(self, subscription: Subscription) -> Optional[SubscriptionId]:
-        """The id of a member subsuming ``subscription`` (None when
-        uncovered).  Deterministic for a fixed insertion history: groups
-        and members are scanned in insertion order, first hit wins."""
-        names = subscription.attribute_names
-        for signature, group in self._groups.items():
-            if signature <= names:
-                for sid, member in group:
-                    if subscription_covers(member, subscription):
-                        return sid
-        return None
-
-    def add(self, sid: SubscriptionId, subscription: Subscription) -> None:
-        """Insert a frontier member (the caller decides coverage first)."""
-        if sid in self._members:
-            raise ValueError(f"duplicate frontier member {sid}")
-        self._members[sid] = subscription
-        self._groups.setdefault(subscription.attribute_names, []).append(
-            (sid, subscription)
-        )
-
-    def remove(self, sid: SubscriptionId) -> Optional[Subscription]:
-        """Remove one member by id; returns its subscription (None if absent)."""
-        subscription = self._members.pop(sid, None)
-        if subscription is None:
-            return None
-        signature = subscription.attribute_names
-        group = self._groups[signature]
-        survivors = [entry for entry in group if entry[0] != sid]
-        if survivors:
-            self._groups[signature] = survivors
-        else:
-            del self._groups[signature]
-        return subscription
-
-    def __repr__(self) -> str:
-        return f"SidCoveringIndex({len(self._members)} members)"

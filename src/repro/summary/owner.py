@@ -23,6 +23,10 @@ a string conjunction holding an ``=`` collapses to that literal (or to
 nothing when the rest contradicts it), and any other string constraints
 become one pattern (:func:`~repro.summary.patterns.pattern_for_constraint`).
 
+The same tables answer the broker's covered-id suppression question —
+*which frontier members may cover this new subscription?* — by probing a
+region instead of a point (:meth:`OwnerIndex.covering_within`).
+
 The differential in ``tests/summary/test_owner_index.py`` holds the index
 equal to :meth:`Subscription.matches` under interleaved add/remove.
 """
@@ -30,7 +34,8 @@ equal to :meth:`Subscription.matches` under interleaved add/remove.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+import math
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.model.constraints import Operator
 from repro.model.events import Event
@@ -38,7 +43,9 @@ from repro.model.ids import SubscriptionId
 from repro.model.schema import Schema
 from repro.model.subscriptions import Subscription
 from repro.summary.intervals import interval_for_constraint, intervals_for_conjunction
-from repro.summary.patterns import ConjunctionPattern, pattern_for_constraint
+from repro.summary.patterns import (
+    ConjunctionPattern, GlobPattern, pattern_for_constraint,
+)
 from repro.summary.tables import IntervalTable, PatternTable, ids_of_bits
 
 __all__ = ["OwnerIndex"]
@@ -144,6 +151,41 @@ class OwnerIndex:
                 matched |= members
         return matched
 
+    def covering_within(
+        self, subscription: Subscription, attr_mask: int, candidates: int
+    ) -> int:
+        """A superset of the slots in ``candidates`` whose subscription
+        covers ``subscription`` (whose ``c3`` is ``attr_mask``).
+
+        :meth:`match_within` run on a region instead of a point: a slot can
+        cover the region only if its signature's attributes are among the
+        region's and, on each of them, it admits every probe value of the
+        region (:func:`_probes`).  The caller confirms the survivors with
+        :func:`~repro.summary.covering.subscription_covers`."""
+        stabs: Dict[str, int] = {}
+        tables = self._tables
+        found = 0
+        for c3, (members, names) in self._signatures.items():
+            if c3 & ~attr_mask:
+                continue
+            members &= candidates
+            if not members:
+                continue
+            for name in names:
+                stab = stabs.get(name)
+                if stab is None:
+                    table = tables.get(name)
+                    stab = -1
+                    for value in _probes(subscription.constraints_on(name)):
+                        stab &= 0 if table is None else table.lookup(value)
+                    stabs[name] = stab
+                members &= stab
+                if not members:
+                    break
+            else:
+                found |= members
+        return found
+
     # -- slots ---------------------------------------------------------------------
 
     def bit_of(self, sid: SubscriptionId) -> int:
@@ -221,3 +263,27 @@ def _entries(constraints) -> Iterable:
         return ()
     parts = [pattern_for_constraint(c) for c in constraints]
     return (parts[0] if len(parts) == 1 else ConjunctionPattern(parts),)
+
+
+def _probes(constraints) -> Sequence:
+    """Values of the region a conjunction on one attribute admits that
+    every conjunction covering it must admit too.
+
+    On an arithmetic attribute: both ends of each interval, an open end
+    stabbed at the next float inward (the tables cut open bounds the same
+    way); an interval holding no float has none.  On a string attribute:
+    the literal it collapses to, else none.  No probe means no filter,
+    so a region that is empty or not a literal costs precision only."""
+    entries = _entries(constraints)
+    if constraints[0].attr_type.is_string:
+        entry = next(iter(entries), None)
+        if isinstance(entry, GlobPattern) and len(entry.pieces) == 1:
+            return entry.pieces
+        return ()
+    probes = []
+    for interval in entries:
+        lo = math.nextafter(interval.lo, math.inf) if interval.lo_open else interval.lo
+        hi = math.nextafter(interval.hi, -math.inf) if interval.hi_open else interval.hi
+        if lo <= hi:
+            probes += (lo, hi)
+    return probes

@@ -38,7 +38,6 @@ LAYER: Dict[str, int] = {
 
 #: Known upward imports, as (importer, imported) package pairs.
 ALLOWED: Set[Tuple[str, str]] = {
-    ("broker", "siena"),  # broker/broker.py: poset coverer lookups
     ("workload", "analysis"),  # workload/scenarios.py
     ("runtime", "analysis"),  # runtime/chaos.py
 }
