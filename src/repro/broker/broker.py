@@ -10,7 +10,11 @@ A :class:`SummaryBroker` owns:
 * the *kept* multi-broker summary — its own subscriptions merged with every
   summary received in past propagation periods — plus the matching
   ``Merged_Brokers`` set, and
-* per-period propagation scratch state (Algorithm 2).
+* the open Algorithm-2 :class:`Period`, if any.  ``begin_period``,
+  ``act_period`` and ``finish_period`` step it; the round-based
+  :class:`~repro.broker.propagation.PropagationEngine` and the live
+  :class:`~repro.runtime.server.BrokerRuntime` both drive those same
+  transitions.
 
 Message handling is split by concern: :mod:`repro.broker.propagation`
 drives Algorithm 2 and :mod:`repro.broker.routing` implements Algorithm 3;
@@ -33,8 +37,9 @@ from repro.summary.covering import subscription_covers
 from repro.summary.maintenance import SubscriptionStore
 from repro.summary.precision import Precision
 from repro.summary.summary import BrokerSummary
+from repro.wire.messages import Message, SummaryDeltaMessage, SummaryMessage
 
-__all__ = ["SummaryBroker", "DeliveryCallback"]
+__all__ = ["SummaryBroker", "DeliveryCallback", "Period"]
 
 #: Sort key of one broker's own ids: they share ``c1``, and ``c2`` is
 #: unique, so this is :class:`SubscriptionId` order without its
@@ -44,6 +49,30 @@ _LOCAL_ID = attrgetter("local_id")
 #: Called once per delivered event with every confirmed subscription:
 #: ``(broker_id, subscription_ids_ascending, event)``.
 DeliveryCallback = Callable[[int, List[SubscriptionId], Event], None]
+
+
+class Period:
+    """One broker's open Algorithm-2 propagation period.
+
+    * ``adds`` — the summary the period's frame carries: the pending batch
+      folded in when the broker acts, plus every summary received from
+      peers this period;
+    * ``brokers`` — the ``Merged_Brokers`` of ``adds``;
+    * ``removed`` — the removal block: the ``removed_pending`` snapshot
+      taken when the period opened plus every removal received from peers;
+    * ``acted`` — whether the broker's one send opportunity has passed.
+      Until it has, an unsubscribe of a propagated id rides ``removed``;
+      afterwards it waits for the next period.
+    """
+
+    __slots__ = ("adds", "brokers", "removed", "acted")
+
+    def __init__(self, adds: BrokerSummary, brokers: Set[int],
+                 removed: Set[SubscriptionId]):
+        self.adds = adds
+        self.brokers = brokers
+        self.removed = removed
+        self.acted = False
 
 
 class SummaryBroker:
@@ -86,38 +115,14 @@ class SummaryBroker:
         #: Brokers whose subscriptions are inside ``kept_summary``.
         self.merged_brokers: Set[int] = {broker_id}
 
-        # -- per-period propagation scratch (Algorithm 2) --
-        self.delta_summary: Optional[BrokerSummary] = None
-        self.delta_brokers: Set[int] = set()
-        self.contacted: Set[int] = set()
-        #: Whether this broker already sent its period delta (Algorithm 2
-        #: acts once per period).  Unsubscribes consult it to decide whether
-        #: a removal can still ride the current period or must wait.
-        self.period_acted = False
-        #: The pending sids folded into the in-flight period's delta at
-        #: ``begin_period``.  ``finish_period`` retires exactly these from
-        #: ``pending``: ids that arrive *mid-period* — a late subscribe, or
-        #: an orphan promoted by ``_frontier_remove`` when its coverer
-        #: unsubscribes — were never summarized into any frame and must
-        #: stay pending for the next period, or remote brokers would never
-        #: learn them.
-        self._period_folded: Set[SubscriptionId] = set()
-        #: True while a ``begin_period``-built delta is in flight — i.e. the
-        #: delta already contains everything that was pending at period
-        #: start.  The live runtime folds pending at *act* time instead
-        #: (``BrokerRuntime.period_act``) and leaves this False, so
-        #: mid-period frontier promotions know which regime they are in.
-        self._delta_prefolded = False
+        #: The open Algorithm-2 period, or None between periods.  Only this
+        #: class writes it: the period transitions and ``unsubscribe``.
+        self.period: Optional[Period] = None
 
         # -- incremental (delta-mode) propagation state --
         #: Own ids unsubscribed after they were propagated; they ship as the
         #: removal block of the next period's delta frame.
         self.removed_pending: Set[SubscriptionId] = set()
-        #: Removal block of the in-flight period: the snapshot of
-        #: ``removed_pending`` taken at ``begin_period`` plus every removal
-        #: received from peers this period.  Applied to ``kept_summary`` by
-        #: ``finish_period`` (after the delta adds merge — removal wins).
-        self.delta_removed: Set[SubscriptionId] = set()
         #: Per-directed-link delta generations: ``link_generations_out[dst]``
         #: is the generation of the last delta sent to ``dst``;
         #: ``link_generations_in[src]`` the last applied from ``src``.  A
@@ -191,21 +196,20 @@ class SummaryBroker:
         matches in the meantime are harmless — the exact re-check here
         drops them.
 
-        The id must also leave the *in-flight period delta*: when an
-        unsubscribe lands between ``begin_period`` and ``finish_period``,
-        the delta still holds the id (it was pending when the period
-        started), and ``finish_period`` merges the delta into
-        ``kept_summary`` — silently resurrecting the id until the next
-        full refresh.  The :class:`~repro.obs.audit.SummaryAuditor`'s
-        ``local-liveness`` check exists to catch exactly this divergence.
+        The id must also leave the *in-flight period adds*: when an
+        unsubscribe lands after this broker acted, the adds hold the id
+        (it was pending when the act folded it), and ``finish_period``
+        merges the adds into ``kept_summary`` — silently resurrecting the
+        id until the next full refresh.  The
+        :class:`~repro.obs.audit.SummaryAuditor`'s ``local-liveness`` check
+        exists to catch exactly this divergence.
 
-        Removal scheduling (delta mode): an id that may already live in
-        remote summaries lands in ``delta_removed`` when the current
-        period's delta has not been sent yet, otherwise in
-        ``removed_pending`` for the next period.  Ids that provably never
-        left this broker (still pending, or scrubbed from an unsent delta)
-        are not propagated at all.  ``c2`` values are never reused, so
-        over-approximating removals is always safe.
+        Removal scheduling: an id still pending never left this broker and
+        is not propagated at all.  Any other id may live in remote
+        summaries: it lands in the period's removal block while the
+        broker has not acted yet, otherwise in ``removed_pending`` for the
+        next period.  ``c2`` values are never reused, so over-approximating
+        removals is always safe.
         """
         # Read the bit before the store frees (and may later reuse) its slot.
         bit = self.store.index.bit_of(sid)
@@ -225,70 +229,88 @@ class SummaryBroker:
         was_pending = any(p_sid == sid for p_sid, _ in self.pending)
         self.pending = [(p_sid, p_sub) for p_sid, p_sub in self.pending if p_sid != sid]
         self.kept_summary.remove(sid)
-        in_period = self.delta_summary is not None
-        removed_from_delta = self.delta_summary.remove(sid) if in_period else False
-        if removed_from_delta and not self.period_acted:
-            pass  # scrubbed from the only frame that would have carried it
-        elif was_pending and not (in_period and self.period_acted):
-            pass  # never folded into any sent delta
-        elif in_period and not self.period_acted:
-            self.delta_removed.add(sid)  # rides this period's delta frame
+        period = self.period
+        if was_pending:
+            pass  # never folded into any frame
+        elif period is not None and not period.acted:
+            period.removed.add(sid)  # rides this period's frame
         else:
+            if period is not None:
+                period.adds.remove(sid)
             self.removed_pending.add(sid)  # ships next period
         if sid in self._closures:
             self._frontier_remove(sid, bit)
         return True
 
-    # -- propagation-period state (driven by PropagationEngine) -----------------
+    # -- the Algorithm-2 period (driven by PropagationEngine / BrokerRuntime) ----
 
     def begin_period(self) -> None:
-        """Build the delta summary of this period's new subscriptions."""
-        delta = BrokerSummary(self.schema, self.precision)
+        """Open a period.  Its removal block starts as a snapshot of
+        ``removed_pending`` (not a move: unsubscribes after the act keep
+        accumulating there for the next period)."""
+        self.period = Period(
+            BrokerSummary(self.schema, self.precision),
+            {self.broker_id},
+            set(self.removed_pending),
+        )
+
+    def act_period(self, target: Optional[int], full: bool = False) -> Optional[Message]:
+        """Steps 1-2 of Algorithm 2: this broker's one send opportunity.
+
+        Folds the pending batch into the period's adds and marks the period
+        acted, then returns the frame for ``target`` (None without one): a
+        :class:`SummaryDeltaMessage` chained on the ``target`` link's
+        generation, or with ``full`` a :class:`SummaryMessage` that restarts
+        that chain.  Subscriptions accepted after the act stay pending for
+        the next period.
+        """
+        period = self.period
+        if period is None:
+            raise RuntimeError(f"broker {self.broker_id} acted outside a period")
         for sid, subscription in self.pending:
-            delta.add(subscription, sid)
-        self._period_folded = {sid for sid, _ in self.pending}
-        self._delta_prefolded = True
-        self.delta_summary = delta
-        self.delta_brokers = {self.broker_id}
-        self.contacted = set()
-        # Snapshot (without clearing — unsubscribes landing mid-period
-        # after the delta was sent keep accumulating for the next one).
-        self.delta_removed = set(self.removed_pending)
-        self.period_acted = False
+            period.adds.add(subscription, sid)
+        self.pending = []
+        period.acted = True
+        if target is None:
+            return None
+        if full:
+            return self.snapshot_frame(target, period.adds.copy(), period.brokers)
+        base = self.link_generations_out.get(target, 0)
+        generation = base + 1
+        self.link_generations_out[target] = generation
+        return SummaryDeltaMessage(
+            adds=period.adds.copy(),
+            removed=frozenset(period.removed),
+            merged_brokers=frozenset(period.brokers),
+            base_generation=base,
+            generation=generation,
+        )
+
+    def snapshot_frame(
+        self, dst: int, summary: BrokerSummary, brokers: Set[int]
+    ) -> SummaryMessage:
+        """A full-summary frame for ``dst``.  It restarts the delta chain
+        towards ``dst``: the next delta bases itself on generation 0."""
+        self.link_generations_out[dst] = 0
+        return SummaryMessage(summary=summary, merged_brokers=frozenset(brokers))
 
     def absorb_summary(self, src: int, summary: BrokerSummary, brokers: Set[int]) -> None:
-        """Handle a received SummaryMessage: merge into the period delta.
+        """Handle a received SummaryMessage: merge it into the open period,
+        or straight into the kept summary between periods (a full summary
+        is ground truth).
 
-        A full summary also restarts the delta-generation chain of the
-        ``src`` link: the next delta from ``src`` must base itself on this
-        snapshot (``base_generation == 0``).
+        It also restarts the delta chain of the ``src`` link: the next
+        delta from ``src`` must base itself on this snapshot
+        (``base_generation == 0``).
         """
-        if self.delta_summary is None:
-            raise RuntimeError(
-                f"broker {self.broker_id} received a summary outside a "
-                f"propagation period"
-            )
-        self.delta_summary.merge(summary)
-        self.delta_brokers |= brokers
-        self.contacted.add(src)
-        self.link_generations_in[src] = 0
-
-    def absorb_summary_snapshot(
-        self, src: int, summary: BrokerSummary, brokers: Set[int]
-    ) -> None:
-        """Absorb a full summary at *any* time, even between periods.
-
-        The live runtime's fallback resync (chain mismatch -> full-summary
-        reply) can straddle a period close — a broker restarted mid-run may
-        request or receive snapshots while no period is open.  A full
-        summary is ground truth, so between periods it folds straight into
-        the kept summary instead of the (absent) period delta.
-        """
-        if self.delta_summary is not None:
-            self.absorb_summary(src, summary, brokers)
-            return
-        self.kept_summary.merge(summary)
-        self.merged_brokers |= set(brokers)
+        summary = self._foreign(summary)
+        period = self.period
+        if period is None:
+            self.kept_summary.merge(summary)
+            self.merged_brokers |= brokers
+        else:
+            period.adds.merge(summary)
+            period.brokers |= brokers
         self.link_generations_in[src] = 0
 
     def absorb_delta(
@@ -302,52 +324,56 @@ class SummaryBroker:
     ) -> bool:
         """Handle a received SummaryDeltaMessage.
 
-        Returns False — *without touching any state* — when the delta does
-        not chain onto the last frame applied from ``src`` (its
-        ``base_generation`` disagrees with ``link_generations_in``), which
-        happens after a full refresh, a restart, or message loss.  The
-        caller reacts by requesting a full summary from ``src``.
+        Returns False — *without touching any state* — between periods, or
+        when the delta does not chain onto the last frame applied from
+        ``src`` (its ``base_generation`` disagrees with
+        ``link_generations_in``), which happens after a full refresh, a
+        restart, or message loss.  The caller reacts by requesting a full
+        summary from ``src``.
         """
-        if self.delta_summary is None:
-            return False  # between periods: can't fold, ask for a snapshot
-        if base_generation != self.link_generations_in.get(src, 0):
+        period = self.period
+        if period is None or base_generation != self.link_generations_in.get(src, 0):
             return False
         self.link_generations_in[src] = generation
-        self.delta_summary.merge(adds)
-        self.delta_removed |= removed
-        self.delta_brokers |= brokers
-        self.contacted.add(src)
+        period.adds.merge(self._foreign(adds))
+        period.removed |= removed
+        period.brokers |= brokers
         return True
 
+    def _foreign(self, summary: BrokerSummary) -> BrokerSummary:
+        """``summary`` without this broker's own ids.  A peer can echo them
+        back (equal-degree neighbours send to each other), possibly after
+        they died here; what this broker summarizes of itself comes from
+        its own store only."""
+        own = [sid for sid in summary.all_ids() if sid.broker == self.broker_id]
+        if not own:
+            return summary
+        summary = summary.copy()
+        for sid in own:
+            summary.remove(sid)
+        return summary
+
     def finish_period(self) -> None:
-        """Fold the period's delta into the kept multi-broker summary.
+        """Close the period: fold its adds into the kept multi-broker
+        summary.
 
         Adds merge first, then the period's removal block applies on top —
         so a subscription added and removed within the same period ends up
         removed (``c2`` values are never reused, which makes this ordering
-        unconditionally safe).
+        unconditionally safe).  The pending batch is left alone: only the
+        act folds it, so a period closed before its act (a draining
+        broker's) keeps the batch for the next period to ship.
         """
-        if self.delta_summary is None:
+        period = self.period
+        if period is None:
             return
-        self.kept_summary.merge(self.delta_summary)
-        if self.delta_removed:
-            for sid in self.delta_removed:
+        self.kept_summary.merge(period.adds)
+        if period.removed:
+            for sid in period.removed:
                 self.kept_summary.remove(sid)
-            self.removed_pending -= self.delta_removed
-        self.merged_brokers |= self.delta_brokers
-        self.delta_summary = None
-        self.delta_brokers = set()
-        self.delta_removed = set()
-        # Retire only what this period's delta actually carried: ids that
-        # arrived after ``begin_period`` (mid-period subscribes, orphans
-        # promoted by a coverer's unsubscribe) still await propagation.
-        self.pending = [
-            (sid, sub) for sid, sub in self.pending
-            if sid not in self._period_folded
-        ]
-        self._period_folded = set()
-        self._delta_prefolded = False
-        self.period_acted = False
+            self.removed_pending -= period.removed
+        self.merged_brokers |= period.brokers
+        self.period = None
 
     def rebuild_own_summary(self) -> BrokerSummary:
         """A fresh summary of all currently stored subscriptions — or, under
@@ -372,10 +398,9 @@ class SummaryBroker:
         """Forget remote knowledge (full-refresh support): the kept summary
         restarts from the local store.
 
-        The per-period propagation scratch is cleared too: a refresh
-        started while a period is in flight must not let ``finish_period``
-        fold the pre-reset delta (old remote knowledge) back into the
-        freshly rebuilt kept summary.
+        The open period closes too: a refresh started while a period is in
+        flight must not let ``finish_period`` fold the pre-reset adds (old
+        remote knowledge) back into the freshly rebuilt kept summary.
 
         Delta-chain state resets with it: pending removals are pointless
         (the refresh re-ships ground truth) and both generation maps clear,
@@ -388,14 +413,17 @@ class SummaryBroker:
         self.kept_summary = self.rebuild_own_summary()
         self.merged_brokers = {self.broker_id}
         self.pending = []
-        self.delta_summary = None
-        self.delta_brokers = set()
-        self.contacted = set()
+        self.period = None
         self.removed_pending = set()
-        self.delta_removed = set()
-        self.period_acted = False
         self.link_generations_out = {}
         self.link_generations_in = {}
+
+    def reset_for_refresh(self) -> None:
+        """:meth:`reset_merged_state`, then queue the refresh batch as the
+        next period's pending batch: a full-refresh period re-propagates
+        it from scratch."""
+        self.reset_merged_state()
+        self.pending = self.refresh_batch()
 
     # -- covered-id suppression internals ---------------------------------------
 
@@ -452,7 +480,8 @@ class SummaryBroker:
         covered set is reconsidered.  Each orphan either re-homes under a
         surviving coverer or promotes into the frontier — entering
         ``kept_summary`` (it must match local events immediately) and
-        ``pending`` (remote brokers learn it next period).  Orphans are
+        ``pending`` (remote brokers learn it at this broker's next act:
+        this period's if it has not acted yet).  Orphans are
         processed in sorted order, so a promoted orphan can deterministically
         become the coverer of its later siblings.  ``bit`` is the slot bit
         ``sid`` held.
@@ -476,20 +505,6 @@ class SummaryBroker:
                 continue
             self.kept_summary.add(subscription, orphan)
             self.pending.append((orphan, subscription))
-            if (
-                self._delta_prefolded
-                and self.delta_summary is not None
-                and not self.period_acted
-            ):
-                # The in-flight delta was built from ``pending`` at
-                # ``begin_period`` and has not been sent yet.  Without
-                # suppression this id would have been pending then and
-                # ridden this very frame — promoting it only into
-                # ``pending`` would delay its propagation a full period
-                # behind its coverer's removal, leaving a window where no
-                # remote summary routes events to this broker at all.
-                self.delta_summary.add(subscription, orphan)
-                self._period_folded.add(orphan)
 
     def _rebuild_suppression(self) -> None:
         """Recompute the frontier and cover maps from the store (refresh

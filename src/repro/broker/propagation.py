@@ -5,13 +5,15 @@ broker whose overlay degree equals ``i``:
 
 1. merges its own (delta) summary with all summaries received in previous
    iterations, updating its ``Merged_Brokers`` set, and
-2. sends the merged summary plus ``Merged_Brokers`` to ONE neighbor it has
-   not communicated with in any previous iteration, restricted to neighbors
-   of equal or higher degree and preferring the smallest such degree
-   (ties broken by smallest broker id, making runs deterministic).
+2. sends the merged summary plus ``Merged_Brokers`` to ONE neighbor of
+   equal or higher degree (see the target-selection policy below; ties
+   broken by smallest broker id, making runs deterministic).
 
-A broker with no eligible neighbor (every equal-or-higher-degree neighbor
-already contacted, or none exists — the maximum-degree broker, or hub
+The paper also rules out neighbors the broker "has communicated with in a
+previous iteration".  Degree order makes that rule implicit: before a
+broker acts, only lower-degree neighbors (earlier iterations) can have
+sent to it, and those are never candidates.  A broker with no
+equal-or-higher-degree neighbor (the maximum-degree broker, or hub
 patterns in non-tree overlays) simply does not send; the knowledge
 fragmentation this leaves is intentional and is what the BROCLI list in
 Algorithm 3 compensates for during event routing.
@@ -19,6 +21,10 @@ Algorithm 3 compensates for during event routing.
 Each broker therefore transmits at most once per period, which is why the
 paper observes that full propagation "always requires a number of hops that
 is smaller than the number of brokers in the system".
+
+The period itself is a :class:`~repro.broker.broker.Period` on each
+broker, stepped through ``begin_period`` / ``act_period`` /
+``finish_period``; this engine only orders the acts and moves the frames.
 
 **Target-selection policy.**  When several eligible neighbors exist the
 paper's text prefers "the one with the smallest degree" — a load-balancing
@@ -71,20 +77,19 @@ class TargetPolicy(enum.Enum):
 def select_period_target(
     topology, broker: SummaryBroker, policy: TargetPolicy = TargetPolicy.HIGHEST_DEGREE
 ) -> Optional[int]:
-    """Algorithm 2 step 2's target: the not-yet-contacted neighbor of
-    equal-or-higher degree preferred by ``policy`` (smallest id on ties),
-    or None when no eligible neighbor remains.
+    """Algorithm 2 step 2's target: the neighbor of equal-or-higher degree
+    preferred by ``policy`` (smallest id on ties), or None when there is
+    none.
 
     Shared by the round-based :class:`PropagationEngine` and the live
     :class:`~repro.runtime.server.BrokerRuntime`, so both substrates make
-    identical propagation-routing decisions for the same broker state.
+    identical propagation-routing decisions.
     """
     own_degree = topology.degree(broker.broker_id)
     candidates = [
         neighbor
         for neighbor in topology.neighbors(broker.broker_id)
-        if neighbor not in broker.contacted
-        and topology.degree(neighbor) >= own_degree
+        if topology.degree(neighbor) >= own_degree
     ]
     if not candidates:
         return None
@@ -146,12 +151,15 @@ class PropagationEngine:
         topology = self.network.topology
         for broker in self.brokers.values():
             broker.begin_period()
-        for iteration in range(1, topology.max_degree + 1):
+        # Every broker acts, which is what folds its pending batch.  Only a
+        # one-broker overlay has degree 0: it acts with no one to send to.
+        for iteration in range(topology.max_degree + 1):
             for broker_id in topology.brokers_by_degree(iteration):
                 self._act(self.brokers[broker_id])
             # Deliver this iteration's messages before the next degree class
-            # acts — receivers fold them into their deltas via receive().
-            self.network.flush_iteration()
+            # acts — receivers merge them into their open periods.
+            if iteration:
+                self.network.flush_iteration()
         # Delta-mode fallback exchanges (reject -> request -> full summary)
         # straddle iteration boundaries; drain them before the period
         # closes so the replies still land inside it.  Each chain is at
@@ -166,46 +174,21 @@ class PropagationEngine:
 
     def _act(self, broker: SummaryBroker) -> None:
         """Steps 1-2 of Algorithm 2 for one broker at its iteration."""
-        assert broker.delta_summary is not None, "begin_period() not called"
-        target = self._select_target(broker)
-        # The broker's one send opportunity for this period has now passed
-        # (even if no eligible target exists): later unsubscribes queue
-        # their removals for the next period's frame.
-        broker.period_acted = True
-        if target is None:
+        target = select_period_target(self.network.topology, broker, self.policy)
+        message = broker.act_period(
+            target, full=self.mode == "full" or self._refresh_active
+        )
+        if message is None:
             return
-        if self.mode == "delta" and not self._refresh_active:
-            base = broker.link_generations_out.get(target, 0)
-            generation = base + 1
-            broker.link_generations_out[target] = generation
-            message: Message = SummaryDeltaMessage(
-                adds=broker.delta_summary.copy(),
-                removed=frozenset(broker.delta_removed),
-                merged_brokers=frozenset(broker.delta_brokers),
-                base_generation=base,
-                generation=generation,
-            )
-        else:
-            message = SummaryMessage(
-                summary=broker.delta_summary.copy(),
-                merged_brokers=frozenset(broker.delta_brokers),
-            )
-            # A full frame restarts the chain towards this neighbor.
-            broker.link_generations_out[target] = 0
-        broker.contacted.add(target)
         tracer = self.tracer
         if tracer.enabled:
             tracer.record(
                 "summary_send", broker=broker.broker_id,
                 trace_id=self.periods_run + 1, target=target,
-                merged_brokers=len(broker.delta_brokers),
-                ids=len(broker.delta_summary.all_ids()),
+                merged_brokers=len(broker.period.brokers),
+                ids=len(broker.period.adds.all_ids()),
             )
         self.network.send(broker.broker_id, target, message)
-
-    def _select_target(self, broker: SummaryBroker) -> Optional[int]:
-        """See :func:`select_period_target` (shared with the live runtime)."""
-        return select_period_target(self.network.topology, broker, self.policy)
 
     # -- full refresh ---------------------------------------------------------------
 
@@ -226,12 +209,10 @@ class PropagationEngine:
 
     def _run_full_refresh_body(self) -> None:
         for broker in self.brokers.values():
-            broker.reset_merged_state()
             # The refresh batch (full store contents — or the covering
-            # frontier under suppression) becomes this period's "new" batch.
-            broker.pending = broker.refresh_batch()
-            # reset_merged_state() already folded the batch into the kept
-            # summary; begin_period() will rebuild the delta from pending.
+            # frontier under suppression) becomes this period's pending
+            # batch; the kept summary already holds it.
+            broker.reset_for_refresh()
         self._refresh_active = True
         try:
             self.run_period()
@@ -273,18 +254,14 @@ class PropagationEngine:
             return True
         if isinstance(message, SummaryRequestMessage):
             broker = self.brokers[dst]
-            if broker.delta_summary is not None:
-                summary = broker.delta_summary.copy()
-                merged = frozenset(broker.delta_brokers)
+            period = broker.period
+            if period is not None:
+                summary, merged = period.adds.copy(), period.brokers
             else:  # between periods: answer with current knowledge
-                summary = broker.kept_summary.copy()
-                merged = frozenset(broker.merged_brokers)
-            # Restart the chain: the requester resyncs on this snapshot
-            # and the next delta towards it bases itself on generation 0.
-            broker.link_generations_out[src] = 0
+                summary, merged = broker.kept_summary.copy(), broker.merged_brokers
+            # The requester resyncs on this snapshot, which restarts the
+            # chain towards it.
             self.fallback_replies += 1
-            self.network.send(dst, src, SummaryMessage(
-                summary=summary, merged_brokers=merged,
-            ))
+            self.network.send(dst, src, broker.snapshot_frame(src, summary, merged))
             return True
         return False

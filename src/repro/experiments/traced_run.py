@@ -5,9 +5,8 @@ Drives one small but complete system lifecycle with a live
 :class:`~repro.obs.audit.SummaryAuditor` in paranoid mode, so the run
 doubles as an invariant sweep): subscribe a Table-2 workload, run a
 propagation period, publish a batch of events, unsubscribe a slice of the
-subscriptions — deliberately including unsubscribes *between*
-``begin_period``-time pendings and the next period — then run a full
-refresh and a second publish wave.
+subscriptions a period already propagated (their removals queue for the
+next period) — then run a full refresh and a second publish wave.
 
 Outputs:
 

@@ -307,7 +307,9 @@ class ReliableNetwork(Network):
 
         Algorithm 2's period must not end with summaries still in retry
         limbo (a late retransmission landing after ``finish_period`` would
-        arrive outside any period), so the reliable barrier drains fully —
+        miss the period it was sent in: a delta is then rejected, a full
+        summary lands straight in the kept summary), so the reliable
+        barrier drains fully —
         same contract as :class:`TimedNetwork.flush_iteration`.
         """
         return self.run()

@@ -20,7 +20,7 @@ Invariants checked (per broker, against its kept multi-broker summary):
     sampling, see 5 — a contradictory constraint legitimately inserts
     nothing.)
 4.  **Local liveness** — every id owned by this broker that appears in
-    its kept summary, pending batch or in-flight period delta must still
+    its kept summary, pending batch or open period's adds must still
     exist in the raw store.  This is the check that catches the
     unsubscribe-mid-period resurrection bug (see
     ``SummaryBroker.unsubscribe``).
@@ -35,8 +35,8 @@ Invariants checked (per broker, against its kept multi-broker summary):
 7.  **Dedup capacity** — the publish-id LRU tables never exceed their
     configured capacity.
 8.  **Removal tracking** — own ids queued for delta-mode removal
-    propagation (``removed_pending`` / ``delta_removed``) are dead in the
-    store, and the period-scoped block is empty between periods.
+    propagation (``removed_pending`` and the open period's removal block)
+    are dead in the store.
 9.  **Suppression accounting** — under covered-id suppression the frontier
     and the covered set partition the store, the frontier slot mask holds
     exactly the members' bits, the two cover maps are exact inverses,
@@ -150,9 +150,10 @@ class SummaryAuditor:
         violations: List[Violation] = []
         bid = broker.broker_id
         self._check_summary_structures(broker.kept_summary, bid, violations)
-        if broker.delta_summary is not None:
+        period = broker.period
+        if period is not None:
             self._check_summary_structures(
-                broker.delta_summary, bid, violations, label="delta"
+                period.adds, bid, violations, label="period adds"
             )
         self._check_local_liveness(broker, violations)
         self._check_removal_tracking(broker, violations)
@@ -180,11 +181,6 @@ class SummaryAuditor:
                     "merged-brokers", broker_id,
                     f"Merged_Brokers references unknown brokers "
                     f"{sorted(broker.merged_brokers - all_brokers)}",
-                ))
-            if broker.delta_summary is None and broker.delta_brokers:
-                violations.append(Violation(
-                    "period-scratch", broker_id,
-                    "delta_brokers non-empty outside a propagation period",
                 ))
         return violations
 
@@ -309,29 +305,29 @@ class SummaryAuditor:
                 "local-liveness", bid,
                 f"pending batch lists {sid} with no store entry",
             ))
-        if broker.delta_summary is not None:
+        if broker.period is not None:
             dead_delta = {
-                sid for sid in broker.delta_summary.all_ids()
+                sid for sid in broker.period.adds.all_ids()
                 if sid.broker == bid and sid not in live
             }
             for sid in sorted(dead_delta)[:3]:
                 violations.append(Violation(
                     "local-liveness", bid,
-                    f"in-flight period delta lists own id {sid} with no "
+                    f"open period's adds list own id {sid} with no "
                     f"store entry — finish_period() would resurrect it",
                 ))
 
     def _check_removal_tracking(self, broker, violations: List[Violation]) -> None:
         """Delta-mode removal scheduling: an own id queued for removal
         propagation must be dead in the store (the sets over-approximate
-        towards *remote* staleness, never towards retracting live ids),
-        and the period-scoped removal block must be empty between periods.
+        towards *remote* staleness, never towards retracting live ids).
         """
         bid = broker.broker_id
         live = broker.store.ids()
+        period = getattr(broker, "period", None)
         for label, queued in (
             ("removed_pending", getattr(broker, "removed_pending", set())),
-            ("delta_removed", getattr(broker, "delta_removed", set())),
+            ("period removal block", period.removed if period else set()),
         ):
             alive = {sid for sid in queued if sid.broker == bid and sid in live}
             for sid in sorted(alive)[:3]:
@@ -341,11 +337,6 @@ class SummaryAuditor:
                     f"store — its removal would retract an active "
                     f"subscription from remote summaries",
                 ))
-        if broker.delta_summary is None and getattr(broker, "delta_removed", None):
-            violations.append(Violation(
-                "period-scratch", bid,
-                "delta_removed non-empty outside a propagation period",
-            ))
 
     def _check_suppression_accounting(self, broker, violations: List[Violation]) -> None:
         """Covered-id suppression: the frontier and the covered set must

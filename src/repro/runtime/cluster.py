@@ -12,7 +12,7 @@ It adds the coordination the paper's round-based algorithms assume:
 * :meth:`run_propagation_period` — Algorithm 2 exactly: brokers act in
   ascending degree order with a quiesce barrier between iterations (the
   live analogue of the simulator's ``flush_iteration``), then every
-  broker folds its delta.  Same code path
+  broker finishes its period.  Same code path
   (:func:`~repro.broker.propagation.select_period_target`) as the
   simulator, so both substrates pick identical targets.
 * :meth:`settle` — producer flushes + quiesce + subscriber flushes: after
@@ -284,9 +284,9 @@ class LocalCluster:
             # found.  Rejoin with own-rows-only truth; the delta-chain
             # fallbacks re-derive remote knowledge from live neighbors.
             runtime.broker.reset_merged_state()
-            # The reset closed the runtime's always-open period scratch;
-            # reopen it so peer frames can be absorbed immediately.
-            runtime._open_period()
+            # The reset closed the runtime's always-open period; reopen it
+            # so peer frames can be absorbed immediately.
+            runtime.broker.begin_period()
         port = await runtime.start(0)
         self.runtimes[broker_id] = runtime
         self.addresses[broker_id] = (self.host, port)
@@ -367,12 +367,13 @@ class LocalCluster:
         stands in for the simulator's per-iteration message flush.  Killed
         brokers simply miss their slot (their neighbours' frames to them
         are dropped and counted by the link layer)."""
-        for iteration in range(1, self.topology.max_degree + 1):
+        for iteration in range(self.topology.max_degree + 1):
             for broker_id in self.topology.brokers_by_degree(iteration):
                 runtime = self.runtimes.get(broker_id)
                 if runtime is not None:
                     await runtime.period_act()
-            await self.quiesce()
+            if iteration:  # degree 0: a one-broker overlay, nothing sent
+                await self.quiesce()
         for broker_id in sorted(self.runtimes):
             self.runtimes[broker_id].period_close()
 

@@ -40,22 +40,26 @@ stalls upstream instead of ballooning memory — the live analogue of the
 simulator's synchronous delivery.
 
 **Propagation periods.**  The runtime keeps a period permanently *open*
-(an empty delta summary accepting peer merges at any time).
-:meth:`period_act` folds the pending batch into the delta and performs the
-broker's single Algorithm-2 transmission; :meth:`period_close` folds the
-delta into the kept summary and reopens.  A
+(the broker's :class:`~repro.broker.broker.Period`, accepting peer merges
+at any time).  :meth:`period_act` picks the target with the shared policy
+and lets :meth:`~repro.broker.broker.SummaryBroker.act_period` fold the
+pending batch and build the broker's single Algorithm-2 frame;
+:meth:`period_close` finishes the period and opens the next — the same
+transitions the simulator's
+:class:`~repro.broker.propagation.PropagationEngine` steps.  A
 :class:`~repro.runtime.cluster.LocalCluster` sequences acts in degree
 order with quiesce barriers between iterations — byte-identical to the
-simulator's :class:`~repro.broker.propagation.PropagationEngine` — while a
-standalone broker on a ``period_interval`` timer acts/closes on its own
-(knowledge then spreads one hop per tick; Algorithm 3's exhaustive BROCLI
-search keeps delivery complete regardless).
+simulator — while a standalone broker on a ``period_interval`` timer
+acts/closes on its own (knowledge then spreads one hop per tick, and
+equal-degree neighbours send to each other; Algorithm 3's exhaustive
+BROCLI search keeps delivery complete regardless).
 
 **Graceful drain.**  ``shutdown(drain=True)`` (also wired to SIGTERM via
 :meth:`install_signal_handlers`) stops accepting, lets in-flight inbound
-frames finish, flushes every outbound queue, closes the open period and
-writes an atomic snapshot (:func:`~repro.broker.persistence.save_broker`)
-a restarted broker resumes from.
+frames finish, flushes every outbound queue, closes the open period (a
+batch it has not acted on yet stays pending) and writes an atomic
+snapshot (:func:`~repro.broker.persistence.save_broker`) a restarted
+broker resumes from.
 """
 
 from __future__ import annotations
@@ -87,7 +91,6 @@ from repro.obs.tracing import NULL_TRACER
 from repro.runtime.framing import MAX_FRAME_BYTES, FrameConnection
 from repro.summary.maintenance import IdSpaceExhausted
 from repro.summary.precision import Precision
-from repro.summary.summary import BrokerSummary
 from repro.wire.codec import CodecError, ValueWidth, WireCodec
 from repro.wire.messages import (
     EventMessage,
@@ -449,8 +452,9 @@ class BrokerRuntime:
         self.port: Optional[int] = None
         self.periods_run = 0
         #: Brokers whose knowledge each outgoing period link has carried:
-        #: the union of ``delta_brokers`` over every send, by target.  A
-        #: fallback resync reply hands that neighbor exactly this much back.
+        #: the union of the period's ``brokers`` over every send, by
+        #: target.  A fallback resync reply hands that neighbor exactly this
+        #: much back.
         self._link_brokers_out: Dict[int, Set[int]] = {}
         # -- delta-mode fallback statistics (mirrors PropagationEngine) --
         self.fallback_requests = 0
@@ -467,7 +471,7 @@ class BrokerRuntime:
         self._shutdown_started = False
         self._snapshot_written: Optional[Path] = None
         self.terminated = asyncio.Event()
-        self._open_period()
+        self.broker.begin_period()
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -513,8 +517,8 @@ class BrokerRuntime:
 
         Returns the snapshot path when one was written.  Draining order:
         stop accepting → let in-flight inbound frames finish → flush every
-        peer/client outbound queue → fold the open period into the kept
-        summary → atomic snapshot.  A second call waits for the first.
+        peer/client outbound queue → close the open period → atomic
+        snapshot.  A second call waits for the first.
         """
         if self._shutdown_started:
             await self.terminated.wait()
@@ -729,9 +733,7 @@ class BrokerRuntime:
     def _dispatch_peer(self, src: int, message: Message) -> None:
         """Same engines, same decisions as the simulator's dispatch."""
         if isinstance(message, SummaryMessage):
-            # Snapshot-safe absorb: a fallback resync reply may land between
-            # periods (restarts shift who is mid-period when).
-            self.broker.absorb_summary_snapshot(
+            self.broker.absorb_summary(
                 src, message.summary, set(message.merged_brokers)
             )
             return
@@ -745,14 +747,6 @@ class BrokerRuntime:
                 message.generation,
             )
             if not applied:
-                if self.broker.delta_summary is None:
-                    # A stale period frame flushed through a reconnected
-                    # link landed between periods (e.g. queued while the
-                    # peer was down, delivered to its new incarnation).
-                    # Drop it: the chain is now desynced on both ends, so
-                    # the next in-period delta fails the base-generation
-                    # check and runs the regular fallback resync.
-                    return
                 # Chain broke (peer restart, our restore, frame loss): ask
                 # for a full summary instead of merging a stale delta.  The
                 # request rides the outbox and is pumped with this burst.
@@ -771,9 +765,9 @@ class BrokerRuntime:
         if isinstance(message, SummaryRequestMessage):
             # A live-path rejection means the requester genuinely lost its
             # chain state (restart/restore), so the resync snapshot is the
-            # current knowledge — kept plus the open delta — of every
-            # broker this link has ever carried, and of no other.  (The
-            # simulator replies with the period delta only because its
+            # current knowledge — kept plus the open period's adds — of
+            # every broker this link has ever carried, and of no other.
+            # (The simulator replies with the period adds only because its
             # rejections are always mid-period among brokers that kept
             # their state; here the period never closes for outsiders.)
             # Handing over more would be a promise the link cannot keep:
@@ -784,16 +778,13 @@ class BrokerRuntime:
             broker = self.broker
             flow = self._link_brokers_out.get(src, set()) - {src}
             snapshot = broker.kept_summary.copy()
-            if broker.delta_summary is not None:  # requests can land between periods
-                snapshot.merge(broker.delta_summary)
+            snapshot.merge(broker.period.adds)
             for sid in snapshot.all_ids():
                 if sid.broker not in flow:
                     snapshot.remove(sid)
-            broker.link_generations_out[src] = 0
             self.fallback_replies += 1
             self.network.send(
-                self.broker_id, src,
-                SummaryMessage(summary=snapshot, merged_brokers=frozenset(flow)),
+                self.broker_id, src, broker.snapshot_frame(src, snapshot, flow)
             )
             return
         if self.router.handle_message(self.broker_id, src, message):
@@ -899,75 +890,37 @@ class BrokerRuntime:
 
     # -- propagation periods ---------------------------------------------------
 
-    def _open_period(self) -> None:
-        """(Re)open the always-live period: an empty delta ready to absorb
-        peer summaries whenever they arrive."""
-        broker = self.broker
-        broker.delta_summary = BrokerSummary(broker.schema, broker.precision)
-        broker.delta_brokers = {broker.broker_id}
-        broker.contacted = set()
-        # Same removal bookkeeping as SummaryBroker.begin_period: snapshot
-        # (without clearing) the queued removals into this period's scratch
-        # and reopen the one-send-per-period window.
-        broker.delta_removed = set(broker.removed_pending)
-        broker.period_acted = False
-
     async def period_act(self) -> Optional[int]:
-        """This broker's one Algorithm-2 transmission for the period:
-        fold the pending batch into the delta, pick the target with the
-        shared policy, send delta + Merged_Brokers.  Returns the target
-        (None when no eligible neighbor remains)."""
+        """This broker's one Algorithm-2 transmission for the period: pick
+        the target with the shared policy, fold and send through
+        :meth:`~repro.broker.broker.SummaryBroker.act_period`.  Returns the
+        target (None when no eligible neighbor exists)."""
         broker = self.broker
-        for sid, subscription in broker.pending:
-            broker.delta_summary.add(subscription, sid)
-        broker.pending = []
         target = select_period_target(self.topology, broker, self.policy)
-        # The send opportunity for this period has now passed (even with no
-        # eligible target): later unsubscribes queue for the next period.
-        broker.period_acted = True
         if target is not None:
-            broker.contacted.add(target)
             self._link_brokers_out.setdefault(target, set()).update(
-                broker.delta_brokers
+                broker.period.brokers
             )
+        frame = broker.act_period(target)
+        if frame is not None:
             if self.tracer.enabled:
                 self.tracer.record(
                     "summary_send", broker=self.broker_id,
                     trace_id=self.periods_run + 1, target=target,
-                    merged_brokers=len(broker.delta_brokers),
+                    merged_brokers=len(broker.period.brokers),
                 )
-            base = broker.link_generations_out.get(target, 0)
-            generation = base + 1
-            broker.link_generations_out[target] = generation
-            self.network.send(self.broker_id, target, SummaryDeltaMessage(
-                adds=broker.delta_summary.copy(),
-                removed=frozenset(broker.delta_removed),
-                merged_brokers=frozenset(broker.delta_brokers),
-                base_generation=base,
-                generation=generation,
-            ))
+            self.network.send(self.broker_id, target, frame)
         await self._pump()
         return target
 
     def period_close(self) -> None:
-        """Fold the period's delta into the kept summary and reopen.
-
-        Deliberately *not* :meth:`SummaryBroker.finish_period`: that
-        clears ``pending``, and subscriptions accepted after this period's
-        act must survive into the next one."""
-        broker = self.broker
-        broker.kept_summary.merge(broker.delta_summary)
-        broker.merged_brokers |= broker.delta_brokers
-        # Removals (own + peers' delta blocks) apply after the merge, same
-        # order as SummaryBroker.finish_period; what this period shipped is
-        # no longer pending for the next one.
-        for sid in broker.delta_removed:
-            broker.kept_summary.remove(sid)
-        broker.removed_pending -= broker.delta_removed
-        self._open_period()
+        """Finish the period (merge its adds, apply its removals) and open
+        the next."""
+        self.broker.finish_period()
+        self.broker.begin_period()
         self.periods_run += 1
         if self.auditor is not None:
-            self.auditor.assert_clean(broker)
+            self.auditor.assert_clean(self.broker)
 
     async def _period_loop(self) -> None:
         """Uncoordinated timer mode for standalone brokers."""

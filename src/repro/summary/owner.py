@@ -271,14 +271,17 @@ def _probes(constraints) -> Sequence:
 
     On an arithmetic attribute: both ends of each interval, an open end
     stabbed at the next float inward (the tables cut open bounds the same
-    way); an interval holding no float has none.  On a string attribute:
-    the literal it collapses to, else none.  No probe means no filter,
-    so a region that is empty or not a literal costs precision only."""
+    way); an interval holding no float has none.  On a string attribute
+    whose region is one glob pattern (a literal, prefix, suffix, contains
+    or ``~`` glob): its pieces joined, which the pattern admits because
+    every ``*`` can match the empty string.  Other string regions (``!=``,
+    conjunctions, empty) have none.  No probe means no filter, so such a
+    region costs precision only."""
     entries = _entries(constraints)
     if constraints[0].attr_type.is_string:
         entry = next(iter(entries), None)
-        if isinstance(entry, GlobPattern) and len(entry.pieces) == 1:
-            return entry.pieces
+        if isinstance(entry, GlobPattern):
+            return ("".join(entry.pieces),)
         return ()
     probes = []
     for interval in entries:

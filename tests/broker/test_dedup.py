@@ -13,6 +13,7 @@ def broker(schema):
     subscription = parse_subscription(schema, "price > 1")
     sid = broker.subscribe(subscription)
     broker.begin_period()
+    broker.act_period(None)
     broker.finish_period()
     return broker
 

@@ -15,6 +15,7 @@ from repro.broker.broker import SummaryBroker
 from repro.broker.system import SummaryPubSub
 from repro.model import parse_subscription
 from repro.network import Topology
+from repro.obs.audit import SummaryAuditor
 from repro.summary import BrokerSummary, Precision
 from repro.wire.messages import (
     SummaryDeltaMessage,
@@ -102,8 +103,8 @@ class TestAbsorbDelta:
         adds, sid = self.adds(schema, source)
         assert broker.absorb_delta(1, adds, set(), {1}, 0, 1)
         assert broker.link_generations_in[1] == 1
-        assert sid in broker.delta_summary.all_ids()
-        assert 1 in broker.delta_brokers
+        assert sid in broker.period.adds.all_ids()
+        assert 1 in broker.period.brokers
 
     def test_stale_base_rejected_without_state_change(self, schema):
         broker = self.make_broker(schema)
@@ -111,16 +112,61 @@ class TestAbsorbDelta:
         adds, sid = self.adds(schema, source)
         assert not broker.absorb_delta(1, adds, {sid}, {1}, 3, 4)
         assert broker.link_generations_in.get(1, 0) == 0
-        assert sid not in broker.delta_summary.all_ids()
-        assert not broker.delta_removed
-        assert broker.delta_brokers == {0}
+        assert sid not in broker.period.adds.all_ids()
+        assert not broker.period.removed
+        assert broker.period.brokers == {0}
 
     def test_between_periods_rejected(self, schema):
         broker = SummaryBroker(0, schema, suppress_covered=False)
         source = SummaryBroker(1, schema, suppress_covered=False)
         adds, _sid = self.adds(schema, source)
-        assert broker.delta_summary is None
+        assert broker.period is None
         assert not broker.absorb_delta(1, adds, set(), {1}, 0, 1)
+
+
+class TestOwnIdsEchoedBack:
+    """Equal-degree neighbours send to each other, so a peer's frame can
+    carry a broker's own ids back, possibly after they died there.  What a
+    broker summarizes of itself comes from its own store only: a dead own
+    id stays out of both the period and the kept summary."""
+
+    def echo(self, schema):
+        """Broker 0 after shipping and then unsubscribing an id, plus a
+        peer frame holding that id and one of broker 1's."""
+        broker = SummaryBroker(0, schema, suppress_covered=False)
+        peer = SummaryBroker(1, schema, suppress_covered=False)
+        subscription = parse_subscription(schema, "price < 5")
+        own = broker.subscribe(subscription)
+        broker.begin_period()
+        assert broker.act_period(1) is not None
+        broker.finish_period()
+        assert broker.unsubscribe(own)
+        foreign = peer.subscribe(subscription)
+        frame = BrokerSummary(schema, Precision.COARSE)
+        frame.add(subscription, own)
+        frame.add(subscription, foreign)
+        return broker, frame, own, foreign
+
+    def test_delta_echo_keeps_a_dead_own_id_out(self, schema):
+        broker, frame, own, foreign = self.echo(schema)
+        broker.begin_period()
+        assert broker.absorb_delta(1, frame, set(), {0, 1}, 0, 1)
+        assert broker.period.adds.all_ids() == {foreign}
+        broker.finish_period()
+        assert broker.kept_summary.all_ids() == {foreign}
+        assert own in frame.all_ids()  # the received frame is not mutated
+        SummaryAuditor(schema).assert_clean(broker)
+
+    @pytest.mark.parametrize("in_period", [True, False])
+    def test_summary_echo_keeps_a_dead_own_id_out(self, schema, in_period):
+        broker, frame, own, foreign = self.echo(schema)
+        if in_period:
+            broker.begin_period()
+        broker.absorb_summary(1, frame, {0, 1})
+        broker.finish_period()
+        assert broker.kept_summary.all_ids() == {foreign}
+        assert broker.merged_brokers == {0, 1}
+        SummaryAuditor(schema).assert_clean(broker)
 
 
 class TestRefreshThenLateDelta:
@@ -151,12 +197,12 @@ class TestRefreshThenLateDelta:
         system.run_full_refresh()  # ...the refresh resets every chain.
         target = system.brokers[0]
         target.begin_period()
-        before_ids = set(target.delta_summary.all_ids())
+        before_ids = set(target.period.adds.all_ids())
         requests_before = system.propagation.fallback_requests
         assert system.propagation.handle_message(0, 1, message)
         # Rejected: nothing merged, a full-summary request went out instead.
-        assert set(target.delta_summary.all_ids()) == before_ids
-        assert sid not in target.delta_summary.all_ids()
+        assert set(target.period.adds.all_ids()) == before_ids
+        assert sid not in target.period.adds.all_ids()
         assert system.propagation.fallback_requests == requests_before + 1
         target.finish_period()
 
@@ -190,7 +236,7 @@ class TestRefreshThenLateDelta:
         system = delta_system(schema)
         sid = system.subscribe(1, parse_subscription(schema, "price < 5"))
         system.run_propagation_period()
-        assert system.brokers[1].delta_summary is None  # between periods
+        assert system.brokers[1].period is None  # between periods
         system.propagation.handle_message(1, 0, SummaryRequestMessage(generation=3))
         queued = [message for (_dst, _seq, _src, message) in system.network._pending]
         assert len(queued) == 1

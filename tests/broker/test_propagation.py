@@ -106,6 +106,16 @@ class TestInvariants:
             for dst in dsts:
                 assert topology.degree(dst) >= topology.degree(src)
 
+    def test_one_broker_overlay_acts_and_folds_its_batch(self, policy):
+        """Degree 0 (the only broker of its overlay) still acts: the act is
+        what folds the pending batch into the kept summary."""
+        system = build_system(Topology.line(1), policy)
+        system.run_propagation_period()
+        broker = system.brokers[0]
+        assert broker.pending == []
+        assert broker.kept_summary.all_ids() == set(broker.store.ids())
+        assert system.propagation_metrics.hops == 0
+
 
 class TestPolicies:
     def test_highest_policy_concentrates_knowledge(self):
@@ -152,10 +162,10 @@ class TestPolicies:
 
 
 class TestMaintenanceReset:
-    """``reset_merged_state`` (full-refresh support) must also discard the
-    per-period propagation scratch (regression: a refresh started while a
-    period was in flight let ``finish_period`` fold the pre-reset delta —
-    stale remote knowledge — back into the freshly rebuilt summary)."""
+    """``reset_merged_state`` (full-refresh support) must also close the
+    open period (regression: a refresh started while a period was in
+    flight let ``finish_period`` fold the pre-reset adds — stale remote
+    knowledge — back into the freshly rebuilt summary)."""
 
     def _brokers(self):
         from repro.broker.broker import SummaryBroker
@@ -166,28 +176,31 @@ class TestMaintenanceReset:
         b = SummaryBroker(1, schema, Precision.COARSE)
         return schema, a, b
 
+    def _frame_of(self, b):
+        """``b``'s period adds once it has folded its pending batch."""
+        b.begin_period()
+        b.act_period(None)
+        return b.period.adds
+
     def test_reset_clears_period_scratch(self):
         schema, a, b = self._brokers()
         b.subscribe(parse_subscription(schema, "price > 1"))
-        b.begin_period()
         a.begin_period()
-        a.absorb_summary(1, b.delta_summary, {1})
-        assert a.delta_brokers == {0, 1} and a.contacted == {1}
+        a.absorb_summary(1, self._frame_of(b), {1})
+        assert a.period.brokers == {0, 1}
+        assert a.period.adds.owner_brokers() == {1}
 
         a.reset_merged_state()
-        assert a.delta_summary is None
-        assert a.delta_brokers == set()
-        assert a.contacted == set()
+        assert a.period is None
 
     def test_finish_after_reset_is_a_noop(self):
         schema, a, b = self._brokers()
         b.subscribe(parse_subscription(schema, "price > 2"))
-        b.begin_period()
         a.begin_period()
-        a.absorb_summary(1, b.delta_summary, {1})
+        a.absorb_summary(1, self._frame_of(b), {1})
         a.reset_merged_state()
         a.finish_period()
-        # Broker 1's stale delta did NOT leak into the rebuilt summary.
+        # Broker 1's stale adds did NOT leak into the rebuilt summary.
         assert a.merged_brokers == {0}
         assert not a.kept_summary.all_ids()
 
@@ -195,11 +208,11 @@ class TestMaintenanceReset:
         schema, a, b = self._brokers()
         sid = a.subscribe(parse_subscription(schema, "price > 3"))
         a.begin_period()
+        a.act_period(None)
         a.finish_period()
         b.subscribe(parse_subscription(schema, "price > 1"))
-        b.begin_period()
         a.begin_period()
-        a.absorb_summary(1, b.delta_summary, {1})
+        a.absorb_summary(1, self._frame_of(b), {1})
         a.reset_merged_state()
         assert sid in a.kept_summary.all_ids()
         assert a.merged_brokers == {0}

@@ -103,6 +103,7 @@ class TestSuppressionChurn:
                     broker.finish_period()
                 else:
                     broker.begin_period()
+                    broker.act_period(None)
                 in_period = not in_period
             assert_counter_matches_ground_truth(broker)
         if in_period:
@@ -573,6 +574,7 @@ class TestCovererQueryDifferential:
             elif op == "period":
                 for broker in (query, scan):
                     broker.begin_period()
+                    broker.act_period(None)
                     broker.finish_period()
             elif op == "refresh":
                 query.reset_merged_state()
@@ -602,10 +604,11 @@ _SIDES = ("exchange", "price", "volume", "high", "low")
 _SIGNATURES = [(a, b) for i, a in enumerate(_SIDES) for b in _SIDES[i + 1:]]
 
 
-def _keyed(index: int, step: int) -> Subscription:
-    """The ``index``-th subscription: its own ``symbol`` literal and the
-    side constraints of signature ``index mod 10`` at grid ``step``."""
-    constraints = [Constraint.string("symbol", Operator.EQ, f"K{index:05d}")]
+def _keyed(index: int, step: int, family: Operator = Operator.EQ) -> Subscription:
+    """The ``index``-th subscription: its own ``symbol`` key (a literal, or
+    with ``family`` a prefix or suffix of it) and the side constraints of
+    signature ``index mod 10`` at grid ``step``."""
+    constraints = [Constraint.string("symbol", family, f"K{index:05d}")]
     for name in _SIGNATURES[index % len(_SIGNATURES)]:
         if name == "exchange":
             constraints.append(Constraint.string("exchange", Operator.EQ, "NYSE"))
@@ -625,8 +628,14 @@ class TestCovererChecksPerSubscribe:
     a linear frontier scan checks about sigma/20 of them on this
     population, the query only the members that can cover."""
 
-    @pytest.mark.parametrize("sigma", [1000, 5000])
-    def test_checks_per_subscribe_stay_constant(self, sigma, monkeypatch):
+    @pytest.mark.parametrize("sigma, family", [
+        (1000, Operator.EQ),
+        (5000, Operator.EQ),
+        # A prefix or suffix region probes the string its pieces spell.
+        (1000, Operator.PREFIX),
+        (1000, Operator.SUFFIX),
+    ])
+    def test_checks_per_subscribe_stay_constant(self, sigma, family, monkeypatch):
         calls = []
         real = broker_module.subscription_covers
 
@@ -639,14 +648,14 @@ class TestCovererChecksPerSubscribe:
         most = 0
         for index in range(sigma):
             del calls[:]
-            broker.subscribe(_keyed(index, index % 16))
+            broker.subscribe(_keyed(index, index % 16, family))
             most = max(most, len(calls))
         assert broker.frontier_size == sigma
         # Narrower copies of a tenth of them: each one is covered, and
         # only its own coverer is checked.
         for index in range(0, sigma, 10):
             del calls[:]
-            broker.subscribe(_keyed(index, index % 16 + 1))
+            broker.subscribe(_keyed(index, index % 16 + 1, family))
             most = max(most, len(calls))
         assert broker.suppressed == sigma // 10
         assert most <= 2

@@ -1,9 +1,9 @@
 """Regression: an unsubscribe landing *mid-period* must not resurrect the id.
 
-The bug: ``begin_period`` snapshots the pending batch into the period's
-delta summary.  An unsubscribe arriving between ``begin_period`` and
+The bug: a broker's act (``act_period``) folds the pending batch into the
+period's adds.  An unsubscribe arriving between the act and
 ``finish_period`` used to clean the store, the pending batch and the kept
-summary — but not the in-flight delta, so ``finish_period`` merged the dead
+summary — but not the in-flight adds, so ``finish_period`` merged the dead
 id straight back into ``kept_summary``.  Locally the broker then kept
 matching (and "delivering" from an empty store entry — the re-check saved
 correctness, but the summary lied until the next full refresh).
@@ -39,14 +39,15 @@ def _legacy_unsubscribe(broker: SummaryBroker, sid) -> bool:
 def test_unsubscribe_mid_period_does_not_resurrect(
     broker, paper_subscriptions, paper_event
 ):
-    """subscribe -> begin_period -> unsubscribe -> finish_period: gone."""
+    """subscribe -> act -> unsubscribe -> finish_period: gone."""
     s1, _s2 = paper_subscriptions
     assert s1.matches(paper_event)  # figure 2's event matches S1
     sid = broker.subscribe(s1)
 
-    broker.begin_period()  # the delta now holds sid
+    broker.begin_period()
+    broker.act_period(None)  # the period's adds now hold sid
     assert broker.unsubscribe(sid)
-    broker.finish_period()  # pre-fix: merged the stale delta back
+    broker.finish_period()  # pre-fix: merged the stale adds back
 
     assert sid not in broker.kept_summary.all_ids()
     assert sid not in broker.match_kept(paper_event)
@@ -56,11 +57,12 @@ def test_unsubscribe_mid_period_does_not_resurrect(
 def test_unsubscribe_mid_period_spares_other_pending(
     broker, paper_subscriptions, paper_event
 ):
-    """Only the unsubscribed id leaves the delta; siblings still land."""
+    """Only the unsubscribed id leaves the adds; siblings still land."""
     s1, s2 = paper_subscriptions
     sid1 = broker.subscribe(s1)
     sid2 = broker.subscribe(s2)
     broker.begin_period()
+    broker.act_period(None)
     assert broker.unsubscribe(sid1)
     broker.finish_period()
     assert broker.kept_summary.all_ids() == {sid2}
@@ -73,6 +75,7 @@ def test_unsubscribe_outside_period_still_clean(
     s1, _s2 = paper_subscriptions
     sid = broker.subscribe(s1)
     broker.begin_period()
+    broker.act_period(None)
     broker.finish_period()
     assert sid in broker.match_kept(paper_event)
     assert broker.unsubscribe(sid)
@@ -90,16 +93,17 @@ def test_unsubscribe_unknown_sid_returns_false(broker, paper_subscriptions):
 
 def test_auditor_catches_the_legacy_behaviour(broker, paper_subscriptions):
     """With the fix reverted, the auditor reports local-liveness — both
-    mid-period (stale delta) and after the period (resurrected kept id)."""
+    mid-period (stale adds) and after the period (resurrected kept id)."""
     s1, _s2 = paper_subscriptions
     sid = broker.subscribe(s1)
     broker.begin_period()
+    broker.act_period(None)  # the window: the adds hold sid
     assert _legacy_unsubscribe(broker, sid)
 
     auditor = SummaryAuditor(broker.schema)
     mid = auditor.audit_broker(broker)
     assert any(
-        v.check == "local-liveness" and "delta" in v.detail for v in mid
+        v.check == "local-liveness" and "adds" in v.detail for v in mid
     ), mid
 
     broker.finish_period()
@@ -118,6 +122,7 @@ def test_fixed_unsubscribe_keeps_auditor_silent_through_churn(small_workload):
     auditor = SummaryAuditor(broker.schema)
     sids = [broker.subscribe(s) for s in small_workload.subscriptions(12)]
     broker.begin_period()
+    broker.act_period(None)
     for sid in sids[::2]:
         assert broker.unsubscribe(sid)
     auditor.assert_clean(broker)  # mid-period already clean

@@ -33,6 +33,7 @@ def _settled_broker(schema, subscriptions, **kwargs):
     broker = SummaryBroker(0, schema, **kwargs)
     sids = [broker.subscribe(s) for s in subscriptions]
     broker.begin_period()
+    broker.act_period(None)
     broker.finish_period()
     return broker, sids
 
@@ -188,17 +189,16 @@ def test_compiled_accounting(schema, paper_subscriptions, paper_event):
     assert "compiled-accounting" in _checks(auditor.audit_broker(broker))
 
 
-def test_merged_brokers_and_period_scratch(small_workload):
+def test_merged_brokers(small_workload):
     system = SummaryPubSub(paper_example_tree(), small_workload.schema)
     system.subscribe(0, small_workload.subscription())
     system.run_propagation_period()
     auditor = SummaryAuditor(small_workload.schema)
     system.brokers[2].merged_brokers.discard(2)  # lost itself
     system.brokers[3].merged_brokers.add(99)  # references a ghost broker
-    system.brokers[4].delta_brokers = {4}  # scratch left outside a period
-    checks = _checks(auditor.audit_system(system))
-    assert "merged-brokers" in checks
-    assert "period-scratch" in checks
+    violations = auditor.audit_system(system)
+    assert _checks(violations) == {"merged-brokers"}
+    assert {v.broker for v in violations} == {2, 3}
 
 
 # -- match-parity (the paranoid compiled cross-check) -------------------------

@@ -138,9 +138,9 @@ class TestCoordinatedPeriods:
             b.period_close()
             for _ in range(200):  # a absorbed the summary over the lane
                 await asyncio.sleep(0.01)
-                if 1 in a.broker.delta_brokers:
+                if 1 in a.broker.period.brokers:
                     break
-            assert 1 in a.broker.delta_brokers
+            assert 1 in a.broker.period.brokers
             # Broker a restarts on a fresh socket; hand b the new address.
             await a.shutdown(drain=False)
             a2 = BrokerRuntime(0, topology, SCHEMA)
@@ -158,9 +158,9 @@ class TestCoordinatedPeriods:
             b.period_close()
             for _ in range(200):
                 await asyncio.sleep(0.01)
-                if 1 in a2.broker.delta_brokers:
+                if 1 in a2.broker.period.brokers:
                     break
-            assert 1 in a2.broker.delta_brokers
+            assert 1 in a2.broker.period.brokers
             assert b.frames_dropped == 0
             await b.shutdown(drain=False)
             await a2.shutdown(drain=False)

@@ -77,6 +77,93 @@ class TestDrainToSnapshot:
         delivered = asyncio.run(second_life())
         assert delivered == [(sid, 8.44)]
 
+    def test_drain_keeps_an_unshipped_batch_pending(self, tmp_path):
+        """A subscription accepted after the last period has shipped
+        nowhere, while its broker is already listed in its neighbours'
+        Merged_Brokers.  The drain must keep it pending in the snapshot, so
+        the restored broker's next act ships it; folding it into the kept
+        summary instead would hide it from every other broker's search."""
+        from repro.model import Event
+
+        topology = Topology.line(4)
+        early = parse_subscription(SCHEMA, "symbol = AAA")
+        late = parse_subscription(SCHEMA, "symbol = BBB")
+
+        async def first_life():
+            cluster = LocalCluster(
+                topology, SCHEMA, snapshot_dir=str(tmp_path), paranoid=True
+            )
+            await cluster.start()
+            subscriber = await cluster.subscriber(3)
+            await subscriber.subscribe(early)
+            await cluster.run_propagation_period()
+            assert 3 in cluster.runtimes[1].broker.merged_brokers
+            sid = await subscriber.subscribe(late)
+            await cluster.stop(drain=True)
+            return sid
+
+        sid = asyncio.run(first_life())
+
+        async def second_life():
+            cluster = LocalCluster(topology, SCHEMA, paranoid=True)
+            await cluster.start(restore_from=str(tmp_path))
+            await cluster.run_propagation_period()
+            producer = await cluster.producer(1)
+            await producer.publish(Event.of(symbol="BBB"))
+            await cluster.settle()
+            delivered = [d_sid for d_sid, _e in cluster.handoffs(cluster.runtimes[3])]
+            await cluster.stop(drain=False)
+            return delivered
+
+        assert asyncio.run(second_life()) == [sid]
+
+    def test_drain_before_the_act_keeps_absorbed_peer_frames(self, tmp_path):
+        """The timer-mode interleaving: broker 1 acts and its delta lands
+        at broker 0, which drains before its own act.  Broker 0 already
+        lists broker 1 in its Merged_Brokers, so the drain must fold the
+        absorbed frame into the snapshot: the restored chains restart at
+        generation 0 on both ends, nothing re-ships broker 1's batch, and
+        BROCLI stops at broker 0."""
+        from repro.model import Event
+
+        topology = Topology.line(2)
+        early = parse_subscription(SCHEMA, "symbol = AAA")
+        late = parse_subscription(SCHEMA, "symbol = BBB")
+
+        async def first_life():
+            cluster = LocalCluster(
+                topology, SCHEMA, snapshot_dir=str(tmp_path), paranoid=True
+            )
+            await cluster.start()
+            subscriber = await cluster.subscriber(1)
+            await subscriber.subscribe(early)
+            await cluster.run_propagation_period()
+            assert 1 in cluster.runtimes[0].broker.merged_brokers
+            sid = await subscriber.subscribe(late)
+            # Broker 1's timer fires first; broker 0's has not yet.
+            await cluster.runtimes[1].period_act()
+            cluster.runtimes[1].period_close()
+            await cluster.quiesce()
+            assert not cluster.runtimes[0].broker.period.acted
+            assert sid in cluster.runtimes[0].broker.period.adds.all_ids()
+            await cluster.stop(drain=True)
+            return sid
+
+        sid = asyncio.run(first_life())
+
+        async def second_life():
+            cluster = LocalCluster(topology, SCHEMA, paranoid=True)
+            await cluster.start(restore_from=str(tmp_path))
+            await cluster.run_propagation_period()
+            producer = await cluster.producer(0)
+            await producer.publish(Event.of(symbol="BBB"))
+            await cluster.settle()
+            delivered = [d_sid for d_sid, _e in cluster.handoffs(cluster.runtimes[1])]
+            await cluster.stop(drain=False)
+            return delivered
+
+        assert asyncio.run(second_life()) == [sid]
+
     def test_restore_refuses_stray_and_missing_snapshots(self, tmp_path):
         topology = Topology.line(2)
 

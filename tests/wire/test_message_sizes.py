@@ -4,7 +4,7 @@ The simulator charges every hop ``codec.size(message) x path_length``, so
 ``size()`` drifting from ``len(encode())`` for *any* kind silently skews
 every byte experiment (exhaustive differential below).  And because
 SUMMARY / SUMMARY_DELTA frames are built straight from the broker's
-*mutable* ``delta_summary``, no encode may ever return pre-mutation bytes
+*mutable* period ``adds``, no encode may ever return pre-mutation bytes
 for them.
 """
 
@@ -135,7 +135,7 @@ class TestNoStaleCachedFrames:
         assert set(decoded.summary.all_ids()) == set(summary.all_ids())
 
     def test_mutated_delta_frame_is_reencoded(self, codec):
-        """The delta frame wraps live ``delta_summary`` state — same rule."""
+        """The delta frame wraps live period ``adds`` state — same rule."""
         summary = self.make_summary(codec, "price < 5")
         message = SummaryDeltaMessage(
             adds=summary,
