@@ -362,7 +362,10 @@ class SummaryBroker:
         removed (``c2`` values are never reused, which makes this ordering
         unconditionally safe).  The pending batch is left alone: only the
         act folds it, so a period closed before its act (a draining
-        broker's) keeps the batch for the next period to ship.
+        broker's) keeps the batch for the next period to ship.  The same
+        holds for the removal block: an acted period shipped it and
+        retires it from ``removed_pending``; an unacted one shipped
+        nothing, so all of it stays queued.
         """
         period = self.period
         if period is None:
@@ -371,7 +374,10 @@ class SummaryBroker:
         if period.removed:
             for sid in period.removed:
                 self.kept_summary.remove(sid)
-            self.removed_pending -= period.removed
+            if period.acted:
+                self.removed_pending -= period.removed
+            else:
+                self.removed_pending |= period.removed
         self.merged_brokers |= period.brokers
         self.period = None
 

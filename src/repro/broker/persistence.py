@@ -6,6 +6,7 @@ periods.  Everything durable about a :class:`SummaryBroker` is:
 
 * its raw subscription store (with the ``c2`` id watermark),
 * the set of ids still *pending* propagation,
+* the removals it has not shipped yet (``removed_pending``),
 * the kept multi-broker summary, and
 * the ``Merged_Brokers`` set.
 
@@ -48,7 +49,10 @@ __all__ = [
 PathLike = Union[str, Path]
 
 #: Format marker + version byte at the head of every snapshot.
-SNAPSHOT_MAGIC = b"RSB1"
+SNAPSHOT_MAGIC = b"RSB2"
+#: The previous format: no ``removed_pending`` block.  Still loads, with
+#: nothing left to ship.
+_RSB1_MAGIC = b"RSB1"
 
 
 class SnapshotCodec:
@@ -76,6 +80,7 @@ class SnapshotCodec:
             self.wire.write_subscription(writer, subscription)
         pending_ids = {sid for sid, _subscription in broker.pending}
         self.wire.write_id_list(writer, pending_ids)
+        self.wire.write_id_list(writer, broker.removed_pending)
         self.wire.write_broker_set(writer, broker.merged_brokers)
         summary = self.wire.encode_summary(broker.kept_summary)
         writer.varint(len(summary))
@@ -111,7 +116,8 @@ class SnapshotCodec:
                 f"truncated header: {len(data)} bytes, "
                 f"need at least {len(SNAPSHOT_MAGIC)} (bad or torn write?)"
             )
-        if reader.raw(len(SNAPSHOT_MAGIC)) != SNAPSHOT_MAGIC:
+        magic = reader.raw(len(SNAPSHOT_MAGIC))
+        if magic not in (SNAPSHOT_MAGIC, _RSB1_MAGIC):
             raise CodecError(
                 f"not a broker snapshot (bad magic, expected {SNAPSHOT_MAGIC!r})"
             )
@@ -134,6 +140,8 @@ class SnapshotCodec:
         broker.pending = [
             (sid, by_sid[sid]) for sid in sorted(pending_ids) if sid in by_sid
         ]
+        if magic == SNAPSHOT_MAGIC:
+            broker.removed_pending = self.wire.read_id_list(reader)
         broker.merged_brokers = set(self.wire.read_broker_set(reader))
         summary_bytes = reader.raw(reader.varint())
         broker.kept_summary = self.wire.decode_summary(summary_bytes)

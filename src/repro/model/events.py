@@ -34,7 +34,7 @@ class Event:
     inferred: ``str`` -> STRING, ``int`` -> INTEGER, ``float`` -> FLOAT).
     """
 
-    __slots__ = ("_attrs", "_hash", "_key_memo")
+    __slots__ = ("_attrs", "_hash", "_key_memo", "_origin")
 
     def __init__(self, attributes: Mapping[AttributeSpec, object]):
         attrs: Dict[str, Tuple[AttributeType, AttributeValue]] = {}
@@ -47,6 +47,7 @@ class Event:
         self._key_memo: Optional[
             Tuple[Tuple[str, AttributeType, AttributeValue], ...]
         ] = None
+        self._origin: Optional[Tuple[object, bytes]] = None
 
     # -- construction -------------------------------------------------------
 
@@ -67,7 +68,9 @@ class Event:
 
     @classmethod
     def from_typed(
-        cls, attrs: Dict[str, Tuple[AttributeType, AttributeValue]]
+        cls,
+        attrs: Dict[str, Tuple[AttributeType, AttributeValue]],
+        origin: Optional[Tuple[object, bytes]] = None,
     ) -> "Event":
         """Trusted constructor for values already in canonical form.
 
@@ -77,11 +80,18 @@ class Event:
         its type's canonical Python representation).  Skips the
         per-attribute spec validation and coercion of ``__init__``; the
         dict is owned by the event afterwards and must not be mutated.
+
+        ``origin`` is opaque to this layer: a decoder passes ``(decoder,
+        the bytes it decoded)`` so that the same decoder can hand those
+        bytes back instead of encoding the event again.  An event never
+        changes, so its origin bytes never go stale; they live and die
+        with the event.
         """
         event = cls.__new__(cls)
         event._attrs = attrs
         event._hash = None
         event._key_memo = None
+        event._origin = origin
         return event
 
     # -- access --------------------------------------------------------------

@@ -21,13 +21,16 @@ the Table-2 generator makes ``1 - q`` of all string constraints unique
 equalities — so literal rows live in a hash index keyed by their value,
 while the (few) wildcard/NE/conjunction rows live in a small ordered table.
 Inserting or matching a literal is O(#general rows) instead of O(#rows),
-which is what makes sigma = 1000-scale experiments tractable.
+which is what makes sigma = 1000-scale experiments tractable.  A reverse
+map from each id to the key of the row holding it makes removal touch only
+that row (or those rows: COARSE keeps the constraints of one conjunction
+apart, and merges can spread an id), instead of testing every row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Set, Tuple, Union
 
 from repro.model.ids import SubscriptionId
 from repro.summary.patterns import GlobPattern, StringPattern
@@ -51,10 +54,15 @@ def _is_literal(pattern: StringPattern) -> bool:
     return isinstance(pattern, GlobPattern) and pattern.is_literal
 
 
+#: A row's key: a literal row's value (``str``) or a general row's
+#: ``pattern.key()`` (a tuple).
+RowKey = Union[str, Tuple]
+
+
 class SACS:
     """The per-attribute string constraint summary."""
 
-    __slots__ = ("precision", "_literals", "_general")
+    __slots__ = ("precision", "_literals", "_general", "_rows_of")
 
     def __init__(self, precision: Precision = Precision.COARSE):
         self.precision = precision
@@ -62,6 +70,9 @@ class SACS:
         self._literals: Dict[str, PatternRow] = {}
         #: wildcard / not-equals / conjunction rows, keyed by canonical form
         self._general: Dict[Tuple, PatternRow] = {}
+        #: id -> the key of the row holding it, or a frozenset of keys when
+        #: it sits in several rows.  Exactly the ids of the rows.
+        self._rows_of: Dict[SubscriptionId, Union[RowKey, FrozenSet[RowKey]]] = {}
 
     # -- introspection ------------------------------------------------------
 
@@ -81,12 +92,7 @@ class SACS:
         return tuple(literal_rows + general_rows)
 
     def all_ids(self) -> Set[SubscriptionId]:
-        ids: Set[SubscriptionId] = set()
-        for row in self._literals.values():
-            ids |= row.ids
-        for row in self._general.values():
-            ids |= row.ids
-        return ids
+        return set(self._rows_of)
 
     def id_list_entries(self) -> int:
         """Total id-list entries across rows — the ``Ls`` term of eq. (2)."""
@@ -117,35 +123,45 @@ class SACS:
             row = self._literals.get(value)
             if row is not None:
                 row.ids |= ids
+                self._note(ids, value)
                 return
             # Covered by an existing general row?  For a literal, coverage
             # is simply whether the row's pattern matches the value.
-            for general_row in self._general.values():
+            for general_key, general_row in self._general.items():
                 if general_row.pattern.matches(value):
                     general_row.ids |= ids
+                    self._note(ids, general_key)
                     return
             self._literals[value] = PatternRow(pattern, ids)
+            self._note(ids, value)
             return
         # General pattern.  Covered by an existing, more general row?
         key = pattern.key()
         existing = self._general.get(key)
         if existing is not None:
             existing.ids |= ids
+            self._note(ids, key)
             return
-        for general_row in self._general.values():
+        for general_key, general_row in self._general.items():
             if general_row.pattern.covers(pattern):
                 general_row.ids |= ids
+                self._note(ids, general_key)
                 return
         # More general than some existing rows: substitute them, absorbing
         # their id lists (paper: "the current is substituted by the new").
         merged = set(ids)
         for other_key in list(self._general):
             if pattern.covers(self._general[other_key].pattern):
-                merged |= self._general.pop(other_key).ids
+                absorbed = self._general.pop(other_key).ids
+                self._move(absorbed, other_key, key)
+                merged |= absorbed
         for value in list(self._literals):
             if pattern.matches(value):
-                merged |= self._literals.pop(value).ids
+                absorbed = self._literals.pop(value).ids
+                self._move(absorbed, value, key)
+                merged |= absorbed
         self._general[key] = PatternRow(pattern, merged)
+        self._note(ids, key)
 
     def _insert_exact(self, pattern: StringPattern, ids: Set[SubscriptionId]) -> None:
         # EXACT: only *identical* patterns share a row.
@@ -156,6 +172,7 @@ class SACS:
                 row.ids |= ids
             else:
                 self._literals[value] = PatternRow(pattern, ids)
+            self._note(ids, value)
             return
         key = pattern.key()
         row = self._general.get(key)
@@ -163,6 +180,32 @@ class SACS:
             row.ids |= ids
         else:
             self._general[key] = PatternRow(pattern, ids)
+        self._note(ids, key)
+
+    # -- the id -> row-key map ---------------------------------------------------
+
+    def _note(self, ids: Iterable[SubscriptionId], key: RowKey) -> None:
+        """The row under ``key`` now holds ``ids`` as well."""
+        rows_of = self._rows_of
+        for sid in ids:
+            held = rows_of.setdefault(sid, key)
+            if held is key or held == key:
+                continue
+            if isinstance(held, frozenset):
+                rows_of[sid] = held | {key}
+            else:
+                rows_of[sid] = frozenset((held, key))
+
+    def _move(self, ids: Iterable[SubscriptionId], old: RowKey, new: RowKey) -> None:
+        """``ids`` left the row under ``old`` for the one under ``new``."""
+        rows_of = self._rows_of
+        for sid in ids:
+            held = rows_of[sid]
+            if isinstance(held, frozenset):
+                keys = (held - {old}) | {new}
+                rows_of[sid] = next(iter(keys)) if len(keys) == 1 else keys
+            else:
+                rows_of[sid] = new
 
     # -- matching ------------------------------------------------------------
 
@@ -185,22 +228,16 @@ class SACS:
         As with AACS, a COARSE row's pattern is not re-specialized on
         removal; the periodic rebuild re-compacts.
         """
-        found = False
-        for value in list(self._literals):
-            row = self._literals[value]
-            if sid in row.ids:
-                found = True
-                row.ids.discard(sid)
-                if not row.ids:
-                    del self._literals[value]
-        for key in list(self._general):
-            row = self._general[key]
-            if sid in row.ids:
-                found = True
-                row.ids.discard(sid)
-                if not row.ids:
-                    del self._general[key]
-        return found
+        held = self._rows_of.pop(sid, None)
+        if held is None:
+            return False
+        for key in held if isinstance(held, frozenset) else (held,):
+            table = self._literals if isinstance(key, str) else self._general
+            row = table[key]
+            row.ids.discard(sid)
+            if not row.ids:
+                del table[key]
+        return True
 
     def merge(self, other: "SACS") -> None:
         """Union another attribute summary into this one (multi-broker merge)."""
@@ -219,6 +256,7 @@ class SACS:
             key: PatternRow(row.pattern, set(row.ids))
             for key, row in self._general.items()
         }
+        clone._rows_of = dict(self._rows_of)
         return clone
 
     def __repr__(self) -> str:

@@ -21,6 +21,26 @@ Format overview (all integers are unsigned LEB128 varints unless noted):
 The codec is schema-aware: attribute *positions* (not names) go on the wire,
 which is exactly why the paper requires the ordered attribute set to be
 known by every broker (section 3, assumption iii).
+
+Events are the hot path of a live broker, so they get two special rules:
+
+* **One compiled reader.**  At construction :class:`WireCodec` compiles the
+  schema into one ``(name, type, kind)`` entry per attribute position.
+  :meth:`WireCodec.event_at` decodes an event straight out of the frame
+  bytes with that table: single-byte varints inline, ``unpack_from`` for
+  floats, no nested reader and no copy of the payload before decoding.
+  Every check of the generic reader stays (position range, duplicate
+  names, truncation, trailing bytes, strict UTF-8, varint length), and
+  malformed input raises :class:`CodecError` only.
+* **Encode once per publish.**  A decoded event keeps the exact bytes it
+  was decoded from, tagged with the decoding codec.  Algorithm 3 forwards
+  an event unchanged (only its BROCLI grows), so when that same codec
+  encodes the event again — an EVENT forward, a NOTIFY —
+  :meth:`WireCodec.encode_event` returns those bytes as they are.  Any
+  other codec (another value width, another deployment) encodes afresh.
+  This is not a cache: there is no table and nothing to evict, and the
+  bytes die with the event.  Across a cluster the producer's encode is
+  the only one an event body gets.
 """
 
 from __future__ import annotations
@@ -61,8 +81,9 @@ def _decode_guard(fn):
     """Public decoders must fail with CodecError, whatever the garbage.
 
     Malformed input can surface as UnicodeDecodeError (bad UTF-8),
-    ValueError (out-of-range ids, empty intervals), or model-layer
-    TypeErrors; callers should only ever have to catch CodecError.
+    ValueError (out-of-range ids, empty intervals), model-layer
+    TypeErrors, or an IndexError / struct.error from reading past the
+    end; callers should only ever have to catch CodecError.
     """
 
     import functools
@@ -73,7 +94,10 @@ def _decode_guard(fn):
             return fn(*args, **kwargs)
         except CodecError:
             raise
-        except (ValueError, TypeError, UnicodeDecodeError, OverflowError) as exc:
+        except (
+            ValueError, TypeError, UnicodeDecodeError, OverflowError,
+            IndexError, struct.error,
+        ) as exc:
             raise CodecError(f"malformed wire data: {exc}") from exc
 
     return guarded
@@ -100,6 +124,30 @@ _BYTE_TABLE = tuple(bytes([value]) for value in range(256))
 
 _STRUCT_F32 = struct.Struct(">f")
 _STRUCT_F64 = struct.Struct(">d")
+
+
+def _truncated(wanted: int, have: int) -> CodecError:
+    return CodecError(f"truncated data: wanted {wanted} bytes, have {max(have, 0)}")
+
+
+def varint_at(data: bytes, pos: int, end: int) -> Tuple[int, int]:
+    """The LEB128 varint starting at ``data[pos]``, read within ``end``:
+    ``(value, position after it)``."""
+    if pos < end and data[pos] < 0x80:
+        return data[pos], pos + 1
+    result = 0
+    shift = 0
+    while True:
+        if pos >= end:
+            raise _truncated(1, 0)
+        piece = data[pos]
+        pos += 1
+        result |= (piece & 0x7F) << shift
+        if not piece & 0x80:
+            return result, pos
+        shift += 7
+        if shift > 70:
+            raise CodecError("varint too long")
 
 
 class ByteWriter:
@@ -199,23 +247,8 @@ class ByteReader:
         return data[pos]
 
     def varint(self) -> int:
-        data = self._data
-        pos = self._pos
-        size = len(data)
-        result = 0
-        shift = 0
-        while True:
-            if pos >= size:
-                raise CodecError("truncated data: wanted 1 bytes, have 0")
-            piece = data[pos]
-            pos += 1
-            result |= (piece & 0x7F) << shift
-            if not piece & 0x80:
-                self._pos = pos
-                return result
-            shift += 7
-            if shift > 70:
-                raise CodecError("varint too long")
+        value, self._pos = varint_at(self._data, self._pos, len(self._data))
+        return value
 
     def zigzag(self) -> int:
         raw = self.varint()
@@ -246,6 +279,11 @@ _PATTERN_GLOB = 0
 _PATTERN_NE = 1
 _PATTERN_CONJ = 2
 
+#: Value kinds of the compiled event reader.
+_KIND_STRING = 0
+_KIND_INTEGER = 1
+_KIND_FLOAT = 2  # FLOAT and DATE: both ride as IEEE floats
+
 
 class WireCodec:
     """Schema-aware encoder/decoder for every on-wire entity."""
@@ -264,10 +302,29 @@ class WireCodec:
         self.schema = schema
         self.id_codec = id_codec
         self.value_width = value_width
+        #: The compiled event reader's table: one ``(name, type, kind)``
+        #: per schema position.
+        self._fields: Tuple[Tuple[str, AttributeType, int], ...] = tuple(
+            (
+                spec.name,
+                spec.type,
+                _KIND_STRING if spec.type.is_string
+                else _KIND_INTEGER if spec.type is AttributeType.INTEGER
+                else _KIND_FLOAT,
+            )
+            for spec in schema.specs
+        )
+        self._float = _STRUCT_F64 if value_width is ValueWidth.F64 else _STRUCT_F32
 
     # -- events --------------------------------------------------------------
 
     def encode_event(self, event: Event) -> bytes:
+        """The event's payload bytes.  An event this codec decoded comes
+        back as the very bytes it arrived in (events never change, and
+        Algorithm 3 forwards them unchanged); anything else is encoded."""
+        origin = event._origin  # codec is a friend module
+        if origin is not None and origin[0] is self:
+            return origin[1]
         writer = ByteWriter()
         writer.varint(len(event))
         for name, typ, value in event.items():
@@ -282,32 +339,70 @@ class WireCodec:
 
     @_decode_guard
     def decode_event(self, data: bytes) -> Event:
-        reader = ByteReader(data)
-        event = self.read_event(reader)
-        if not reader.at_end():
-            raise CodecError(f"{reader.remaining} trailing bytes after event")
-        return event
+        return self.event_at(data, 0, len(data))
 
-    def read_event(self, reader: ByteReader) -> Event:
-        count = reader.varint()
+    def event_at(self, data: bytes, start: int, end: int) -> Event:
+        """Decode the event that fills exactly ``data[start:end]``.
+
+        Reads in place with the compiled per-position table; the event
+        keeps ``data[start:end]`` as its origin, so :meth:`encode_event`
+        on this codec returns those bytes.  Malformed input raises
+        :class:`CodecError` and nothing else.
+        """
+        fields = self._fields
+        positions = len(fields)
+        unpack_float = self._float.unpack_from
+        float_size = self._float.size
+        if start >= end:
+            raise _truncated(1, 0)
+        count = data[start]
+        pos = start + 1
+        if count > 0x7F:
+            count, pos = varint_at(data, start, end)
         attrs: Dict[str, Tuple[AttributeType, AttributeValue]] = {}
-        width = self.value_width
         for _ in range(count):
-            spec = self._spec_at(reader.varint())
-            typ = spec.type
-            if typ is AttributeType.STRING:
-                value: AttributeValue = reader.string()
-            elif typ is AttributeType.INTEGER:
-                value = reader.zigzag()
+            if pos >= end:
+                raise _truncated(1, 0)
+            position = data[pos]
+            pos += 1
+            if position > 0x7F:
+                position, pos = varint_at(data, pos - 1, end)
+            if position >= positions:
+                raise CodecError(f"attribute position {position} out of schema range")
+            name, typ, kind = fields[position]
+            if kind == _KIND_FLOAT:
+                stop = pos + float_size
+                if stop > end:
+                    raise _truncated(float_size, end - pos)
+                value: AttributeValue = unpack_float(data, pos)[0]
             else:
-                value = reader.float_value(width)
-            if spec.name in attrs:
-                raise CodecError(f"duplicate attribute name in event: {spec.name!r}")
-            attrs[spec.name] = (typ, value)
+                if pos >= end:
+                    raise _truncated(1, 0)
+                raw = data[pos]
+                stop = pos + 1
+                if raw > 0x7F:
+                    raw, stop = varint_at(data, pos, end)
+                if kind == _KIND_INTEGER:
+                    value = (raw >> 1) if not raw & 1 else -((raw + 1) >> 1)
+                else:
+                    pos = stop
+                    stop = pos + raw
+                    if stop > end:
+                        raise _truncated(raw, end - pos)
+                    try:
+                        value = data[pos:stop].decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise CodecError(f"malformed wire data: {exc}") from exc
+            pos = stop
+            if name in attrs:
+                raise CodecError(f"duplicate attribute name in event: {name!r}")
+            attrs[name] = (typ, value)
+        if pos != end:
+            raise CodecError(f"{end - pos} trailing bytes after event")
         # Values decoded above are already canonical for their types and
         # the names come from validated schema specs, so the trusted
         # constructor applies.
-        return Event.from_typed(attrs)
+        return Event.from_typed(attrs, (self, data[start:end]))
 
     # -- subscriptions -----------------------------------------------------------
 

@@ -52,7 +52,15 @@ from repro.model.events import Event
 from repro.model.ids import SubscriptionId
 from repro.model.subscriptions import Subscription
 from repro.summary.summary import BrokerSummary
-from repro.wire.codec import ByteReader, ByteWriter, CodecError, WireCodec, _decode_guard
+from repro.wire.codec import (
+    ByteReader,
+    ByteWriter,
+    CodecError,
+    WireCodec,
+    _decode_guard,
+    _truncated,
+    varint_at,
+)
 
 __all__ = [
     "AckMessage",
@@ -343,6 +351,8 @@ Message = Union[
 
 #: Tag -> kind without the (slow) enum constructor on every frame.
 _KIND_BY_TAG = {kind.value: kind for kind in MessageKind}
+_EVENT_TAG = int(MessageKind.EVENT)
+_NOTIFY_TAG = int(MessageKind.NOTIFY)
 
 
 class MessageCodec:
@@ -425,31 +435,19 @@ class MessageCodec:
 
     @_decode_guard
     def decode(self, data: bytes) -> Message:
-        reader = ByteReader(data)
-        tag = reader.byte()
+        if not data:
+            raise _truncated(1, 0)
+        tag = data[0]
+        # EVENT and NOTIFY first: they dominate the live hot path.
+        if tag == _EVENT_TAG or tag == _NOTIFY_TAG:
+            return self._event_frame(data, tag)
         kind = _KIND_BY_TAG.get(tag)
         if kind is None:
             raise CodecError(f"unknown message kind {tag}")
-        # EVENT and NOTIFY first: they dominate the live hot path.
-        if kind is MessageKind.EVENT:
-            publish_id = reader.varint()
-            brocli = frozenset(self.wire.read_broker_set(reader))
-            payload = reader.raw(reader.varint())
-            message: Message = EventMessage(
-                event=self.wire.decode_event(payload),
-                brocli=brocli,
-                publish_id=publish_id,
-            )
-        elif kind is MessageKind.NOTIFY:
-            publish_id = reader.varint()
-            matched = frozenset(self.wire.read_id_list(reader))
-            payload = reader.raw(reader.varint())
-            message = NotifyMessage(
-                event=self.wire.decode_event(payload),
-                matched=matched,
-                publish_id=publish_id,
-            )
-        elif kind is MessageKind.SUMMARY:
+        reader = ByteReader(data)
+        reader.byte()
+        message: Message
+        if kind is MessageKind.SUMMARY:
             brokers = frozenset(self.wire.read_broker_set(reader))
             payload = reader.raw(reader.varint())
             message = SummaryMessage(
@@ -528,6 +526,39 @@ class MessageCodec:
         if not reader.at_end():
             raise CodecError(f"{reader.remaining} trailing bytes after message")
         return message
+
+    def _event_frame(self, data: bytes, tag: int) -> Message:
+        """An EVENT or NOTIFY frame, read in place: the BROCLI or matched
+        ids straight into their frozenset, the event by
+        :meth:`WireCodec.event_at` over its span of ``data`` (so
+        forwarding it re-sends the same bytes)."""
+        end = len(data)
+        publish_id, pos = varint_at(data, 1, end)
+        count, pos = varint_at(data, pos, end)
+        if tag == _EVENT_TAG:
+            members = []
+            for _ in range(count):
+                broker, pos = varint_at(data, pos, end)
+                members.append(broker)
+        else:
+            id_codec = self.wire.id_codec
+            size = id_codec.byte_size
+            stop = pos + count * size
+            if stop > end:
+                raise _truncated(count * size, end - pos)
+            from_bytes = id_codec.from_bytes
+            members = [from_bytes(data[at:at + size]) for at in range(pos, stop, size)]
+            pos = stop
+        length, pos = varint_at(data, pos, end)
+        stop = pos + length
+        if stop > end:
+            raise _truncated(length, end - pos)
+        if stop < end:
+            raise CodecError(f"{end - stop} trailing bytes after message")
+        event = self.wire.event_at(data, pos, stop)
+        if tag == _EVENT_TAG:
+            return EventMessage(event=event, brocli=frozenset(members), publish_id=publish_id)
+        return NotifyMessage(event=event, matched=frozenset(members), publish_id=publish_id)
 
     def size(self, message: Message) -> int:
         """Encoded length in bytes — what the simulator charges per hop

@@ -16,7 +16,7 @@ from repro.broker.persistence import (
 from repro.broker.system import SummaryPubSub
 from repro.model import parse_subscription
 from repro.network import Topology, cable_wireless_24
-from repro.wire.codec import CodecError
+from repro.wire.codec import ByteWriter, CodecError
 from repro.workload import WorkloadConfig, WorkloadGenerator
 
 
@@ -94,7 +94,38 @@ class TestBrokerSnapshot:
             codec.restore_broker(data, system.brokers[0])
 
     def test_magic_versioned(self):
-        assert SNAPSHOT_MAGIC.endswith(b"1")
+        assert SNAPSHOT_MAGIC == b"RSB2"
+
+    def test_removed_pending_survives_and_rsb1_still_loads(self, schema):
+        """RSB2 persists the removals a broker has not shipped; an RSB1
+        snapshot (no such block) restores with none."""
+        system = SummaryPubSub(Topology.line(2), schema)
+        broker = system.brokers[0]
+        sid = broker.subscribe(parse_subscription(schema, "price > 1"))
+        system.run_propagation_period()
+        broker.unsubscribe(sid)
+        assert broker.removed_pending == {sid}
+        codec = SnapshotCodec(system.wire)
+        data = codec.encode_broker(broker)
+        restored = SummaryPubSub(Topology.line(2), schema).brokers[0]
+        codec.restore_broker(data, restored)
+        assert restored.removed_pending == {sid}
+        # The same state in the RSB1 layout: the removal block, which
+        # follows the header, the (empty) store and the (empty) pending
+        # list, cut out.
+        head = ByteWriter()
+        for value in (broker.broker_id, broker.store.next_local_id, 0, 0):
+            head.varint(value)
+        start = len(SNAPSHOT_MAGIC) + len(head)
+        block = ByteWriter()
+        codec.wire.write_id_list(block, {sid})
+        stop = start + len(block)
+        assert data[start:stop] == block.getvalue()
+        legacy = b"RSB1" + data[len(SNAPSHOT_MAGIC):start] + data[stop:]
+        old = SummaryPubSub(Topology.line(2), schema).brokers[0]
+        codec.restore_broker(legacy, old)
+        assert old.removed_pending == set()
+        assert old.store.ids() == restored.store.ids()
 
 
 class TestSystemRecovery:

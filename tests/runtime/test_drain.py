@@ -164,6 +164,41 @@ class TestDrainToSnapshot:
 
         assert asyncio.run(second_life()) == [sid]
 
+    def test_drain_keeps_an_unshipped_removal(self, tmp_path):
+        """The live period is open and unacted between acts, so an
+        unsubscribe there lands in the period's removal block.  A drain
+        in that window closes the period without acting: the removal must
+        stay queued through the snapshot and ship after the restore, or
+        broker 0 keeps routing towards the dead id for good."""
+        topology = Topology.line(2)
+        subscription = parse_subscription(SCHEMA, "symbol = AAA")
+
+        async def first_life():
+            cluster = LocalCluster(
+                topology, SCHEMA, snapshot_dir=str(tmp_path), paranoid=True
+            )
+            await cluster.start()
+            subscriber = await cluster.subscriber(1)
+            sid = await subscriber.subscribe(subscription)
+            await cluster.run_propagation_period()
+            assert sid in cluster.runtimes[0].broker.kept_summary.all_ids()
+            await subscriber.unsubscribe(sid)
+            await cluster.stop(drain=True)
+            return sid
+
+        sid = asyncio.run(first_life())
+
+        async def second_life():
+            cluster = LocalCluster(topology, SCHEMA, paranoid=True)
+            await cluster.start(restore_from=str(tmp_path))
+            for _period in range(3):
+                await cluster.run_propagation_period()
+            kept = cluster.runtimes[0].broker.kept_summary.all_ids()
+            await cluster.stop(drain=False)
+            return kept
+
+        assert sid not in asyncio.run(second_life())
+
     def test_restore_refuses_stray_and_missing_snapshots(self, tmp_path):
         topology = Topology.line(2)
 
