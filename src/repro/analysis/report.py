@@ -21,7 +21,6 @@ __all__ = [
     "BrokerReport",
     "SystemReport",
     "TransportReport",
-    "build_cluster_report",
     "build_report",
     "gini",
 ]
@@ -206,45 +205,4 @@ def build_report(system: SummaryPubSub) -> SystemReport:
                 knowledge_size=len(broker.merged_brokers),
             )
         )
-    return report
-
-
-def build_cluster_report(cluster) -> SystemReport:
-    """The same :class:`SystemReport`, from a live ``LocalCluster``.
-
-    Duck-typed (no import of :mod:`repro.runtime`, which sits above this
-    layer): anything exposing ``runtimes[id] -> {broker, wire, router,
-    collect_metrics()}`` and a merged-``NetworkMetrics`` ``metrics()``
-    works.  Killed-and-not-restarted brokers simply have no row — their
-    counters live with whoever captured the dead runtime.
-    """
-    merged = cluster.metrics()
-    routers = [runtime.router for runtime in cluster.runtimes.values()]
-    report = SystemReport(
-        transport=TransportReport(
-            acks=merged.acks,
-            retransmits=merged.retransmits,
-            send_failures=merged.send_failures,
-            reliability_bytes=merged.reliability_bytes,
-            bytes_sent=merged.bytes_sent,
-            event_reroutes=sum(getattr(r, "event_reroutes", 0) for r in routers),
-            notify_failures=sum(getattr(r, "notify_failures", 0) for r in routers),
-        ),
-    )
-    for broker_id in sorted(cluster.runtimes):
-        runtime = cluster.runtimes[broker_id]
-        broker = runtime.broker
-        report.brokers.append(
-            BrokerReport(
-                broker=broker_id,
-                local_subscriptions=len(broker.store),
-                events_examined=broker.events_examined,
-                deliveries=broker.delivered,
-                false_positive_notifies=broker.false_positive_notifies,
-                summary_bytes=runtime.wire.summary_size(broker.kept_summary),
-                knowledge_size=len(broker.merged_brokers),
-            )
-        )
-        for key, value in runtime.collect_metrics().snapshot().items():
-            report.metrics[f"broker{broker_id}.{key}"] = value
     return report

@@ -37,14 +37,24 @@ from repro.summary.covering import subscription_covers
 from repro.summary.maintenance import SubscriptionStore
 from repro.summary.precision import Precision
 from repro.summary.summary import BrokerSummary
-from repro.wire.messages import Message, SummaryDeltaMessage, SummaryMessage
+from repro.wire.codec import CodecError
+from repro.wire.messages import (
+    Message,
+    SummaryDeltaMessage,
+    SummaryMessage,
+    SummaryRequestMessage,
+)
 
-__all__ = ["SummaryBroker", "DeliveryCallback", "Period"]
+__all__ = ["BROKEN_LINK", "SummaryBroker", "DeliveryCallback", "Period"]
 
 #: Sort key of one broker's own ids: they share ``c1``, and ``c2`` is
 #: unique, so this is :class:`SubscriptionId` order without its
 #: Python-level comparisons.
 _LOCAL_ID = attrgetter("local_id")
+
+#: ``link_generations_in`` value of a link whose delta chain broke: no
+#: ``base_generation`` equals it, so only a full summary re-opens the link.
+BROKEN_LINK = -1
 
 #: Called once per delivered event with every confirmed subscription:
 #: ``(broker_id, subscription_ids_ascending, event)``.
@@ -128,10 +138,19 @@ class SummaryBroker:
         #: ``link_generations_in[src]`` the last applied from ``src``.  A
         #: delta whose ``base_generation`` does not match the receiver's
         #: ``in`` entry is rejected (the chain broke — a refresh, restart or
-        #: loss happened) and the receiver falls back to requesting a full
-        #: summary.
+        #: loss happened), the link is marked :data:`BROKEN_LINK` and the
+        #: receiver falls back to requesting a full summary.
         self.link_generations_out: Dict[int, int] = {}
         self.link_generations_in: Dict[int, int] = {}
+        #: Brokers whose knowledge each outgoing period link has carried:
+        #: the union of the period's ``brokers`` over every frame
+        #: :meth:`act_period` built, by target.  A resync reply hands that
+        #: neighbor exactly this much back.
+        self.link_brokers_out: Dict[int, Set[int]] = {}
+        #: Delta frames rejected (each answered with a SUMMARY_REQUEST) and
+        #: SUMMARY_REQUESTs answered with a resync snapshot.
+        self.fallback_requests = 0
+        self.fallback_replies = 0
 
         # -- covered-id suppression (folded in from repro.ext.hybrid) --
         #: Slot mask (over the store index) of the frontier of covering
@@ -273,6 +292,7 @@ class SummaryBroker:
         period.acted = True
         if target is None:
             return None
+        self.link_brokers_out.setdefault(target, set()).update(period.brokers)
         if full:
             return self.snapshot_frame(target, period.adds.copy(), period.brokers)
         base = self.link_generations_out.get(target, 0)
@@ -324,21 +344,82 @@ class SummaryBroker:
     ) -> bool:
         """Handle a received SummaryDeltaMessage.
 
-        Returns False — *without touching any state* — between periods, or
-        when the delta does not chain onto the last frame applied from
-        ``src`` (its ``base_generation`` disagrees with
-        ``link_generations_in``), which happens after a full refresh, a
-        restart, or message loss.  The caller reacts by requesting a full
-        summary from ``src``.
+        Returns False between periods, or when the delta does not chain
+        onto the last frame applied from ``src`` (its ``base_generation``
+        disagrees with ``link_generations_in``), which happens after a full
+        refresh, a restart, or message loss.  A mismatch marks the link
+        :data:`BROKEN_LINK` and touches no other state; the caller reacts
+        by requesting a full summary from ``src``.
+
+        The mark keeps the chain broken until a full summary lands.  The
+        sender restarts its chain at 0 when it sends the resync snapshot,
+        so if that snapshot is lost while this end still read 0 (its first
+        delta on the link was the one lost, or it restarted cold), the
+        sender's next delta would chain on and the snapshot's content would
+        never be sent again.
         """
         period = self.period
-        if period is None or base_generation != self.link_generations_in.get(src, 0):
+        if period is None:
+            return False
+        if base_generation != self.link_generations_in.get(src, 0):
+            self.link_generations_in[src] = BROKEN_LINK
             return False
         self.link_generations_in[src] = generation
         period.adds.merge(self._foreign(adds))
         period.removed |= removed
         period.brokers |= brokers
         return True
+
+    def receive_period_frame(self, src: int, message: Message) -> Optional[Message]:
+        """The receive side of Algorithm 2: absorb a SUMMARY or
+        SUMMARY_DELTA from ``src``, or answer its SUMMARY_REQUEST.  Returns
+        the frame to send back to ``src``, or None.
+
+        A rejected delta is answered with a SUMMARY_REQUEST.  A request is
+        answered with a resync snapshot: the current knowledge (the kept
+        summary plus the open period's adds) of every broker this link has
+        ever carried towards ``src`` (:attr:`link_brokers_out`), and of no
+        other.  Handing over more would be a promise the link cannot keep:
+        the requester would list those brokers in ``Merged_Brokers``, BROCLI
+        would skip them, and their later subscriptions, which never travel
+        this link, would be lost.  Handing over less (the open period's
+        adds alone) makes the same promise for the brokers the link carried
+        in earlier periods, without their earlier ids.  The requester's own
+        ids never go back either: after a cold rejoin they are dead.
+        """
+        if isinstance(message, SummaryDeltaMessage):
+            if self.absorb_delta(
+                src,
+                message.adds,
+                set(message.removed),
+                set(message.merged_brokers),
+                message.base_generation,
+                message.generation,
+            ):
+                return None
+            self.fallback_requests += 1
+            tracer = self.tracer
+            if tracer.enabled:
+                tracer.record(
+                    "delta_rejected", broker=self.broker_id,
+                    trace_id=message.generation, src=src,
+                    base_generation=message.base_generation,
+                )
+            return SummaryRequestMessage(generation=message.generation)
+        if isinstance(message, SummaryMessage):
+            self.absorb_summary(src, message.summary, set(message.merged_brokers))
+            return None
+        if isinstance(message, SummaryRequestMessage):
+            self.fallback_replies += 1
+            flow = self.link_brokers_out.get(src, set()) - {src}
+            snapshot = self.kept_summary.copy()
+            if self.period is not None:
+                snapshot.merge(self.period.adds)
+            for sid in snapshot.all_ids():
+                if sid.broker not in flow:
+                    snapshot.remove(sid)
+            return self.snapshot_frame(src, snapshot, flow)
+        raise CodecError(f"unexpected peer frame {type(message).__name__}")
 
     def _foreign(self, summary: BrokerSummary) -> BrokerSummary:
         """``summary`` without this broker's own ids.  A peer can echo them
@@ -409,10 +490,10 @@ class SummaryBroker:
         remote knowledge) back into the freshly rebuilt kept summary.
 
         Delta-chain state resets with it: pending removals are pointless
-        (the refresh re-ships ground truth) and both generation maps clear,
-        so any in-flight delta that arrives after the refresh fails the
+        (the refresh re-ships ground truth), both generation maps clear, so
+        any in-flight delta that arrives after the refresh fails the
         ``base_generation`` check and falls back to a full summary instead
-        of silently merging stale rows.
+        of silently merging stale rows, and so do the link flows.
         """
         if self._frontier is not None:
             self._rebuild_suppression()
@@ -423,6 +504,7 @@ class SummaryBroker:
         self.removed_pending = set()
         self.link_generations_out = {}
         self.link_generations_in = {}
+        self.link_brokers_out = {}
 
     def reset_for_refresh(self) -> None:
         """:meth:`reset_merged_state`, then queue the refresh batch as the

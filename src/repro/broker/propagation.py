@@ -24,7 +24,10 @@ is smaller than the number of brokers in the system".
 
 The period itself is a :class:`~repro.broker.broker.Period` on each
 broker, stepped through ``begin_period`` / ``act_period`` /
-``finish_period``; this engine only orders the acts and moves the frames.
+``finish_period``, and the receive side (absorb a SUMMARY or
+SUMMARY_DELTA, answer a SUMMARY_REQUEST) is
+:meth:`~repro.broker.broker.SummaryBroker.receive_period_frame`; this
+engine only orders the acts and moves the frames.
 
 **Target-selection policy.**  When several eligible neighbors exist the
 paper's text prefers "the one with the smallest degree" — a load-balancing
@@ -46,12 +49,6 @@ from typing import Dict, Optional
 from repro.broker.broker import SummaryBroker
 from repro.network.simulator import Network
 from repro.obs.tracing import NULL_TRACER
-from repro.wire.messages import (
-    Message,
-    SummaryDeltaMessage,
-    SummaryMessage,
-    SummaryRequestMessage,
-)
 
 __all__ = [
     "PROPAGATION_MODES",
@@ -62,8 +59,9 @@ __all__ = [
 
 #: ``"delta"`` ships :class:`SummaryDeltaMessage` frames (compressed id
 #: sets, removal blocks, per-link generation chaining with full-summary
-#: fallback); ``"full"`` is the original per-period
-#: :class:`SummaryMessage` path used by the committed figure runs.
+#: fallback) and is what the figure runs use; ``"full"`` is the original
+#: per-period :class:`SummaryMessage` path, kept as the baseline of the
+#: churn and propagation-bytes experiments.
 PROPAGATION_MODES = ("delta", "full")
 
 
@@ -128,9 +126,6 @@ class PropagationEngine:
         #: refresh periods always send full :class:`SummaryMessage` frames
         #: (they re-establish ground truth, so chaining is pointless).
         self._refresh_active = False
-        # -- delta-mode fallback statistics --
-        self.fallback_requests = 0
-        self.fallback_replies = 0
 
     # -- the period ------------------------------------------------------------
 
@@ -218,50 +213,3 @@ class PropagationEngine:
             self.run_period()
         finally:
             self._refresh_active = False
-
-    # -- message handling (called by the system's dispatch) ---------------------------
-
-    def handle_message(self, dst: int, src: int, message: Message) -> bool:
-        """Route a propagation frame to its broker; returns False for other
-        message kinds so the caller can try the event-routing handler."""
-        if isinstance(message, SummaryMessage):
-            self.brokers[dst].absorb_summary(
-                src, message.summary, set(message.merged_brokers)
-            )
-            return True
-        if isinstance(message, SummaryDeltaMessage):
-            applied = self.brokers[dst].absorb_delta(
-                src,
-                message.adds,
-                set(message.removed),
-                set(message.merged_brokers),
-                message.base_generation,
-                message.generation,
-            )
-            if not applied:
-                # Chain broke (refresh, restart, loss): ask for a full
-                # summary instead of silently merging a stale delta.
-                self.fallback_requests += 1
-                if self.tracer.enabled:
-                    self.tracer.record(
-                        "delta_rejected", broker=dst,
-                        trace_id=self.periods_run + 1, src=src,
-                        base_generation=message.base_generation,
-                    )
-                self.network.send(dst, src, SummaryRequestMessage(
-                    generation=message.generation,
-                ))
-            return True
-        if isinstance(message, SummaryRequestMessage):
-            broker = self.brokers[dst]
-            period = broker.period
-            if period is not None:
-                summary, merged = period.adds.copy(), period.brokers
-            else:  # between periods: answer with current knowledge
-                summary, merged = broker.kept_summary.copy(), broker.merged_brokers
-            # The requester resyncs on this snapshot, which restarts the
-            # chain towards it.
-            self.fallback_replies += 1
-            self.network.send(dst, src, broker.snapshot_frame(src, summary, merged))
-            return True
-        return False

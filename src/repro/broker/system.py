@@ -78,7 +78,8 @@ class PublishResult:
 
 
 class _Dispatcher:
-    """Per-broker network handler delegating to the two engines."""
+    """Per-broker network handler: EVENT and NOTIFY frames go to the
+    router, period frames to the broker."""
 
     def __init__(self, system: "SummaryPubSub", broker_id: int):
         self._system = system
@@ -114,7 +115,8 @@ class SummaryPubSub:
         self.precision = precision
         #: ``"delta"`` (default) ships incremental SummaryDeltaMessage
         #: frames with compressed id sets; ``"full"`` is the original
-        #: per-period SummaryMessage path (figure-reproduction baseline).
+        #: per-period SummaryMessage path (the baseline the churn and
+        #: propagation-bytes experiments compare against).
         self.propagation_mode = propagation_mode
         #: Covered-id suppression (folded in from ``repro.ext.hybrid``):
         #: subscriptions subsumed by an existing one never hit the wire.
@@ -383,11 +385,11 @@ class SummaryPubSub:
                 listener(delivery)
 
     def _dispatch(self, dst: int, src: int, message: Message) -> None:
-        if self.propagation.handle_message(dst, src, message):
-            return
         if self.router.handle_message(dst, src, message):
             return
-        raise TypeError(f"unhandled message type {type(message).__name__}")
+        reply = self.brokers[dst].receive_period_frame(src, message)
+        if reply is not None:
+            self.network.send(dst, src, reply)
 
     def __repr__(self) -> str:
         total = sum(len(broker.store) for broker in self.brokers.values())

@@ -10,8 +10,8 @@ span kind             emitted by
 ``publish``           :meth:`repro.broker.routing.EventRouter.publish` — the
                       whole injected-event lifetime, ``trace_id = publish_id``
 ``route_hop``         one Algorithm-3 step at one broker (BROCLI hop)
-``summary_match``     the kept-summary match inside a hop (reference or
-                      compiled engine, named in the fields)
+``summary_match``     the kept-summary match inside a hop (field:
+                      ``matched``)
 ``notify``            one NOTIFY send to an owning broker (zero duration)
 ``recheck``           owner-side exact re-check: the owner-index match of
                       the candidates (fields: ``candidates``,
@@ -19,7 +19,11 @@ span kind             emitted by
 ``delivery``          confirmed deliveries of one re-check, handed to the
                       consumers in one call (zero duration)
 ``propagation_period``  one full Algorithm-2 period
-``summary_send``      one SummaryMessage hop inside a period (zero duration)
+``summary_send``      one period frame sent inside a period, mostly a
+                      SummaryDeltaMessage (zero duration)
+``delta_rejected``    a SummaryDeltaMessage that did not chain on, answered
+                      with a SummaryRequestMessage (zero duration;
+                      ``trace_id`` is the frame's generation)
 ``full_refresh``      one full-refresh cycle
 ====================  ==========================================================
 

@@ -200,14 +200,15 @@ async def _drive_scenario_live(
                 seen.add((sid, event))
         enqueued, processed = cluster._frame_totals()
         frames_balance = (enqueued - cluster._quiesce_bias, processed)
-        from repro.analysis.report import build_cluster_report
-
-        report = build_cluster_report(cluster)
         survivors = list(cluster.runtimes.values())
         retired = [r for incarnations in controller.killed.values() for r in incarnations]
         live_metrics = {
-            "fallback_requests": sum(r.fallback_requests for r in survivors + retired),
-            "fallback_replies": sum(r.fallback_replies for r in survivors + retired),
+            "fallback_requests": sum(
+                r.broker.fallback_requests for r in survivors + retired
+            ),
+            "fallback_replies": sum(
+                r.broker.fallback_replies for r in survivors + retired
+            ),
             "event_reroutes": sum(
                 getattr(r.router, "event_reroutes", 0) for r in survivors + retired
             ),
@@ -227,7 +228,6 @@ async def _drive_scenario_live(
         publishes=len(script.pubs),
         churn_ops=script.churn_ops,
         skipped_ops=script.skipped_ops,
-        report=report,
         frames_balance=frames_balance,
         metrics=live_metrics,
     )

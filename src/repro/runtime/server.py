@@ -6,14 +6,14 @@ The first frame of a connection is a :class:`~repro.wire.messages
 .HelloMessage` naming the peer:
 
 * ``ROLE_PEER`` — another broker.  Subsequent frames are the same
-  :class:`SummaryDeltaMessage` / :class:`SummaryMessage` /
-  :class:`EventMessage` / :class:`NotifyMessage` traffic the simulator
-  moves (delta frames each period, with the same per-link generation
-  chaining and full-summary fallback the simulator's engine uses),
-  dispatched through the *same* engine code
-  (:class:`~repro.broker.routing.EventRouter` and the
-  :func:`~repro.broker.propagation.select_period_target` policy), so the
-  live system makes identical routing decisions to the simulated one.
+  SUMMARY_DELTA / SUMMARY / SUMMARY_REQUEST / EVENT / NOTIFY traffic the
+  simulator moves, dispatched through the *same* code: EVENT and NOTIFY
+  go to :class:`~repro.broker.routing.EventRouter`, the period frames to
+  :meth:`~repro.broker.broker.SummaryBroker.receive_period_frame` (delta
+  chaining, rejection and the resync reply), and each period's target
+  comes from :func:`~repro.broker.propagation.select_period_target`.  So
+  the live system makes identical routing and propagation decisions to
+  the simulated one; the runtime only moves the frames.
 * ``ROLE_PRODUCER`` / ``ROLE_SUBSCRIBER`` — client sessions publishing
   events and registering subscriptions (SUB/PUB/NOTIFY frames).
 
@@ -105,9 +105,6 @@ from repro.wire.messages import (
     ROLE_SUBSCRIBER,
     SubAckMessage,
     SubscribeMessage,
-    SummaryDeltaMessage,
-    SummaryMessage,
-    SummaryRequestMessage,
     UnsubscribeMessage,
 )
 
@@ -451,14 +448,6 @@ class BrokerRuntime:
         self._period_task: Optional[asyncio.Task] = None
         self.port: Optional[int] = None
         self.periods_run = 0
-        #: Brokers whose knowledge each outgoing period link has carried:
-        #: the union of the period's ``brokers`` over every send, by
-        #: target.  A fallback resync reply hands that neighbor exactly this
-        #: much back.
-        self._link_brokers_out: Dict[int, Set[int]] = {}
-        # -- delta-mode fallback statistics (mirrors PropagationEngine) --
-        self.fallback_requests = 0
-        self.fallback_replies = 0
 
         # -- quiesce arithmetic (LocalCluster barriers) --
         #: broker-to-broker frames put on outbound peer queues.
@@ -731,65 +720,14 @@ class BrokerRuntime:
             self.frames_processed += total
 
     def _dispatch_peer(self, src: int, message: Message) -> None:
-        """Same engines, same decisions as the simulator's dispatch."""
-        if isinstance(message, SummaryMessage):
-            self.broker.absorb_summary(
-                src, message.summary, set(message.merged_brokers)
-            )
-            return
-        if isinstance(message, SummaryDeltaMessage):
-            applied = self.broker.absorb_delta(
-                src,
-                message.adds,
-                set(message.removed),
-                set(message.merged_brokers),
-                message.base_generation,
-                message.generation,
-            )
-            if not applied:
-                # Chain broke (peer restart, our restore, frame loss): ask
-                # for a full summary instead of merging a stale delta.  The
-                # request rides the outbox and is pumped with this burst.
-                self.fallback_requests += 1
-                if self.tracer.enabled:
-                    self.tracer.record(
-                        "delta_rejected", broker=self.broker_id,
-                        trace_id=self.periods_run + 1, src=src,
-                        base_generation=message.base_generation,
-                    )
-                self.network.send(
-                    self.broker_id, src,
-                    SummaryRequestMessage(generation=message.generation),
-                )
-            return
-        if isinstance(message, SummaryRequestMessage):
-            # A live-path rejection means the requester genuinely lost its
-            # chain state (restart/restore), so the resync snapshot is the
-            # current knowledge — kept plus the open period's adds — of
-            # every broker this link has ever carried, and of no other.
-            # (The simulator replies with the period adds only because its
-            # rejections are always mid-period among brokers that kept
-            # their state; here the period never closes for outsiders.)
-            # Handing over more would be a promise the link cannot keep:
-            # the requester would list those brokers in Merged_Brokers,
-            # BROCLI would skip them, and their later subscriptions, which
-            # never travel this link, would be lost.  The requester's own
-            # ids never go back either: after a cold rejoin they are dead.
-            broker = self.broker
-            flow = self._link_brokers_out.get(src, set()) - {src}
-            snapshot = broker.kept_summary.copy()
-            snapshot.merge(broker.period.adds)
-            for sid in snapshot.all_ids():
-                if sid.broker not in flow:
-                    snapshot.remove(sid)
-            self.fallback_replies += 1
-            self.network.send(
-                self.broker_id, src, broker.snapshot_frame(src, snapshot, flow)
-            )
-            return
+        """Same engines, same decisions as the simulator's dispatch: the
+        router takes EVENT and NOTIFY frames, the broker the period frames
+        (a reply rides the outbox and is pumped with this burst)."""
         if self.router.handle_message(self.broker_id, src, message):
             return
-        raise CodecError(f"unhandled peer message {type(message).__name__}")
+        reply = self.broker.receive_period_frame(src, message)
+        if reply is not None:
+            self.network.send(self.broker_id, src, reply)
 
     async def _serve_client(self, conn: FrameConnection, hello: HelloMessage) -> None:
         session = ClientSession(self, conn, hello.role, hello.identity)
@@ -897,10 +835,6 @@ class BrokerRuntime:
         target (None when no eligible neighbor exists)."""
         broker = self.broker
         target = select_period_target(self.topology, broker, self.policy)
-        if target is not None:
-            self._link_brokers_out.setdefault(target, set()).update(
-                broker.period.brokers
-            )
         frame = broker.act_period(target)
         if frame is not None:
             if self.tracer.enabled:
@@ -938,8 +872,8 @@ class BrokerRuntime:
         registry.gauge("runtime.frames_processed").set(self.frames_processed)
         registry.gauge("runtime.frames_dropped").set(self.frames_dropped)
         registry.gauge("runtime.periods_run").set(self.periods_run)
-        registry.gauge("runtime.fallback_requests").set(self.fallback_requests)
-        registry.gauge("runtime.fallback_replies").set(self.fallback_replies)
+        registry.gauge("runtime.fallback_requests").set(self.broker.fallback_requests)
+        registry.gauge("runtime.fallback_replies").set(self.broker.fallback_replies)
         registry.gauge("runtime.client_sessions").set(len(self._sessions))
         registry.gauge("runtime.subscriptions").set(len(self.broker.store))
         registry.gauge("runtime.batch_size").set(self.metrics.batch_size)

@@ -644,7 +644,6 @@ class ScenarioOutcome:
     publishes: int
     churn_ops: int
     skipped_ops: int
-    report: Optional[object] = None  # SystemReport (duck-typed to avoid a cycle)
     frames_balance: Optional[Tuple[int, int]] = None  # live: (enqueued_net, processed)
     metrics: Dict[str, int] = field(default_factory=dict)
 
@@ -677,8 +676,6 @@ def run_scenario_sim(config: ScenarioConfig) -> ScenarioOutcome:
     the script (skipped ops, re-homed publishes); the outcome is gated
     against the ``honor_chaos=False`` oracle and must match it exactly.
     """
-    from repro.analysis.report import build_report
-
     script = build_script(config)
     system = SummaryPubSub(
         script.topology, script.schema, value_width=ValueWidth.F64
@@ -719,7 +716,6 @@ def run_scenario_sim(config: ScenarioConfig) -> ScenarioOutcome:
         publishes=len(script.pubs),
         churn_ops=script.churn_ops,
         skipped_ops=script.skipped_ops,
-        report=build_report(system),
         metrics={
             "events_examined": sum(b.events_examined for b in system.brokers.values()),
         },

@@ -11,7 +11,7 @@ it arises naturally from frames in flight across a restart).
 
 import pytest
 
-from repro.broker.broker import SummaryBroker
+from repro.broker.broker import BROKEN_LINK, SummaryBroker
 from repro.broker.system import SummaryPubSub
 from repro.model import parse_subscription
 from repro.network import Topology
@@ -82,7 +82,7 @@ class TestDeltaPeriods:
             b for b in system.brokers.values() if b.link_generations_out
         )
         assert max(sender.link_generations_out.values()) >= 2
-        assert system.propagation.fallback_requests == 0
+        assert sum(b.fallback_requests for b in system.brokers.values()) == 0
 
 
 class TestAbsorbDelta:
@@ -111,7 +111,7 @@ class TestAbsorbDelta:
         source = SummaryBroker(1, schema, suppress_covered=False)
         adds, sid = self.adds(schema, source)
         assert not broker.absorb_delta(1, adds, {sid}, {1}, 3, 4)
-        assert broker.link_generations_in.get(1, 0) == 0
+        assert broker.link_generations_in.get(1, 0) == BROKEN_LINK
         assert sid not in broker.period.adds.all_ids()
         assert not broker.period.removed
         assert broker.period.brokers == {0}
@@ -170,9 +170,15 @@ class TestOwnIdsEchoedBack:
 
 
 class TestRefreshThenLateDelta:
-    """The satellite regression: refresh invalidates in-flight deltas."""
+    """The refresh regression: refresh invalidates in-flight deltas.
+
+    Frames are injected on ``line3``'s 0 -> 1 link: the leaf 0 sends to
+    the hub 1 every period, so that link carries broker 0's knowledge and
+    a resync reply over it has something to hand back."""
 
     def stale_delta(self, schema, src_broker: SummaryBroker, generation: int):
+        """A delta from ``src_broker`` chained on a generation the receiver
+        never saw, carrying an id ``src_broker`` has only pending."""
         summary = BrokerSummary(schema, Precision.COARSE)
         sid = src_broker.subscribe(parse_subscription(schema, "volume > 9"))
         summary.add(src_broker.store.get(sid), sid)
@@ -189,57 +195,60 @@ class TestRefreshThenLateDelta:
 
     def test_late_delta_after_refresh_is_rejected(self, schema):
         system = delta_system(schema)
-        system.subscribe(1, parse_subscription(schema, "price < 5"))
+        system.subscribe(0, parse_subscription(schema, "price < 5"))
         system.run_propagation_period()
         system.run_propagation_period()  # generation chains now >= 1
-        # A frame built against the pre-refresh chain, "in flight" while...
-        message, sid = self.stale_delta(schema, system.brokers[1], generation=9)
-        system.run_full_refresh()  # ...the refresh resets every chain.
-        target = system.brokers[0]
+        system.run_full_refresh()  # the refresh resets every chain...
+        # ...so a frame built against the pre-refresh chain is stale.
+        message, sid = self.stale_delta(schema, system.brokers[0], generation=9)
+        target = system.brokers[1]
         target.begin_period()
         before_ids = set(target.period.adds.all_ids())
-        requests_before = system.propagation.fallback_requests
-        assert system.propagation.handle_message(0, 1, message)
-        # Rejected: nothing merged, a full-summary request went out instead.
+        requests_before = target.fallback_requests
+        reply = target.receive_period_frame(0, message)
+        # Rejected: nothing merged, a full-summary request goes back instead.
+        assert isinstance(reply, SummaryRequestMessage)
+        assert reply.generation == 9
         assert set(target.period.adds.all_ids()) == before_ids
         assert sid not in target.period.adds.all_ids()
-        assert system.propagation.fallback_requests == requests_before + 1
+        assert target.fallback_requests == requests_before + 1
         target.finish_period()
 
     def test_fallback_request_yields_full_summary_resync(self, schema):
         system = delta_system(schema)
-        system.subscribe(1, parse_subscription(schema, "price < 5"))
+        kept_sid = system.subscribe(0, parse_subscription(schema, "price < 5"))
         system.run_propagation_period()
-        message, stale_sid = self.stale_delta(schema, system.brokers[1], generation=7)
         system.run_full_refresh()
+        message, stale_sid = self.stale_delta(schema, system.brokers[0], generation=7)
         # Drive the whole reject -> request -> reply chain through the
         # simulator network so the resync lands inside a real period.
-        target = system.brokers[0]
-        target.begin_period()
-        system.brokers[1].begin_period()
-        assert system.propagation.handle_message(0, 1, message)
+        target = system.brokers[1]
+        for broker in system.brokers.values():
+            broker.begin_period()
+        system.network.send(0, 1, message)
         while system.network.has_pending:
             system.network.flush_iteration()
-        replies = system.propagation.fallback_replies
-        assert replies >= 1
-        # The reply restarted broker 1's chain towards broker 0.
-        assert system.brokers[1].link_generations_out[0] == 0
-        assert target.link_generations_in[1] == 0
+        assert target.fallback_requests == 1
+        assert system.brokers[0].fallback_replies == 1
+        # The reply restarted broker 0's chain towards broker 1, at both ends.
+        assert system.brokers[0].link_generations_out[1] == 0
+        assert target.link_generations_in[0] == 0
+        # The resync carried broker 0's ids into the hand-opened period
+        # (its Merged_Brokers gained 0), and the stale frame's content
+        # never leaked in.
+        assert 0 in target.period.brokers
+        assert target.period.adds.all_ids() == {kept_sid}
         for broker in system.brokers.values():
             broker.finish_period()
-        # The resync absorbed broker 1's snapshot (Merged_Brokers gained 1)
-        # and the stale frame's content never leaked in.
-        assert 1 in system.brokers[0].merged_brokers
-        assert stale_sid not in system.brokers[0].kept_summary.all_ids()
+        assert stale_sid not in target.kept_summary.all_ids()
 
     def test_request_between_periods_ships_kept_summary(self, schema):
         system = delta_system(schema)
-        sid = system.subscribe(1, parse_subscription(schema, "price < 5"))
+        sid = system.subscribe(0, parse_subscription(schema, "price < 5"))
         system.run_propagation_period()
-        assert system.brokers[1].period is None  # between periods
-        system.propagation.handle_message(1, 0, SummaryRequestMessage(generation=3))
-        queued = [message for (_dst, _seq, _src, message) in system.network._pending]
-        assert len(queued) == 1
-        reply = queued[0]
+        sender = system.brokers[0]
+        assert sender.period is None  # between periods
+        reply = sender.receive_period_frame(1, SummaryRequestMessage(generation=3))
         assert isinstance(reply, SummaryMessage)
         assert sid in reply.summary.all_ids()
+        assert reply.merged_brokers == {0}

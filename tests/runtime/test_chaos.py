@@ -387,8 +387,8 @@ class TestFallbackResyncAfterKill:
                 await cluster.run_propagation_period()
 
                 runtimes = list(cluster.runtimes.values())
-                requests = sum(r.fallback_requests for r in runtimes)
-                replies = sum(r.fallback_replies for r in runtimes)
+                requests = sum(r.broker.fallback_requests for r in runtimes)
+                replies = sum(r.broker.fallback_replies for r in runtimes)
 
                 await (await cluster.producer(0)).publish(workload.tick())
                 await cluster.settle()
@@ -429,7 +429,7 @@ class TestFallbackResyncAfterKill:
                 await controller.restart(1)
                 await cluster.run_propagation_period()
                 rejoined = cluster.runtimes[1]
-                replies = sum(r.fallback_replies for r in cluster.runtimes.values())
+                replies = sum(r.broker.fallback_replies for r in cluster.runtimes.values())
                 merged = set(rejoined.broker.merged_brokers)
                 own_ids = {
                     sid for sid in rejoined.broker.kept_summary.all_ids()

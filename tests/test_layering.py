@@ -6,10 +6,10 @@ Each package may import only from its own layer or the layers below it::
           → {experiments, analysis, clients, tools, ext, siena, baseline}
 
 The scan walks the whole AST of every module, so an import hidden inside a
-function body counts the same as one at the top of the file.  The few
-known back edges are allow-listed as package pairs; a new one fails here,
-and one that disappears must be dropped from :data:`ALLOWED` so it cannot
-silently come back.  ``repro/__init__.py`` is the public facade over every
+function body counts the same as one at the top of the file.  A known
+back edge would be allow-listed as a package pair in :data:`ALLOWED`
+(there are none); a new one fails here, and one that disappears must be
+dropped from :data:`ALLOWED` so it cannot silently come back.  ``repro/__init__.py`` is the public facade over every
 layer and is not itself a layer.
 """
 
@@ -37,10 +37,7 @@ LAYER: Dict[str, int] = {
 }
 
 #: Known upward imports, as (importer, imported) package pairs.
-ALLOWED: Set[Tuple[str, str]] = {
-    ("workload", "analysis"),  # workload/scenarios.py
-    ("runtime", "analysis"),  # runtime/chaos.py
-}
+ALLOWED: Set[Tuple[str, str]] = set()
 
 
 def _imported_names(
