@@ -6,10 +6,11 @@ byte/hop metrics cannot: *where does an event spend its time* and *which
 pipeline stage regressed*.  The report has three parts:
 
 1. **Stage table** — per span kind (in pipeline order): count, total,
-   mean, p50/p95, max duration.  Zero-duration record kinds (``notify``,
-   ``delivery``, ``summary_send``) report counts only.
+   mean, p50/p95, max duration.  Zero-duration record kinds (``route_hop``,
+   ``notify``, ``delivery``, ``summary_send``) report counts only.
 2. **Publish digest** — per publish trace: hop count, notifications,
-   deliveries and end-to-end duration; the report lists the slowest.
+   deliveries and end-to-end duration (from the start of the ``publish``
+   span to the end of the trace's last span); the report lists the slowest.
 3. **Propagation digest** — per period: duration and summary sends.
 
 Render from the command line::
@@ -138,6 +139,8 @@ class TraceReport:
             if not publish:
                 continue  # propagation traces have no publish root
             hops = [s for s in spans if s.kind == "route_hop"]
+            start = publish[0].t_us
+            end = max(s.t_us + s.dur_us for s in spans)
             digests.append(PublishDigest(
                 trace_id=trace_id,
                 origin=publish[0].broker,
@@ -151,7 +154,7 @@ class TraceReport:
                     int(s.fields.get("count", 1))
                     for s in spans if s.kind == "delivery"
                 ),
-                duration_us=round(publish[0].dur_us, 3),
+                duration_us=round(end - start, 3),
             ))
         digests.sort(key=lambda d: (-d.duration_us, d.trace_id))
         return digests

@@ -92,7 +92,7 @@ class SummaryBroker:
     #: system — and the ext systems that override broker creation — can
     #: attach them after construction; the defaults cost one attribute
     #: check per use.  ``paranoid`` additionally enables the
-    #: compiled-vs-reference parity cross-check inside :meth:`match_kept`
+    #: compiled-vs-reference parity cross-check inside :meth:`match_kept_many`
     #: and the owner-index-vs-recheck one inside :meth:`deliver`.
     tracer = NULL_TRACER
     paranoid = False
@@ -688,29 +688,18 @@ class SummaryBroker:
         """Entries currently held by the delivery-side dedup table."""
         return len(self._delivered_publishes)
 
-    def match_kept(self, event: Event) -> Set[SubscriptionId]:
-        """Match an event against the kept multi-broker summary.
+    def match_kept_many(self, events: List[Event]) -> List[Set[SubscriptionId]]:
+        """Match a burst of events against the kept multi-broker summary,
+        in order (one event is a burst of one).
 
         This goes through a :class:`CompiledMatcher` snapshot of the kept
-        summary; the snapshot tracks the summary's generation counter, so
-        mutations from propagation periods (``merge``), subscriptions
-        (``add``) and unsubscriptions (``remove``) transparently trigger a
-        lazy rebuild.  It returns the id set of the reference walk
+        summary, which checks its staleness once per burst: the snapshot
+        tracks the summary's generation counter, so mutations from
+        propagation periods (``merge``), subscriptions (``add``) and
+        unsubscriptions (``remove``) transparently trigger a lazy rebuild.
+        Each result is the id set of the reference walk
         :meth:`BrokerSummary.match` (see
         ``tests/summary/test_compiled_differential.py``).
-        """
-        self.events_examined += 1
-        matched = self._compiled_matcher().match(event)
-        if self.paranoid:
-            self._check_match_parity(matched, event)
-        return matched
-
-    def match_kept_many(self, events: List[Event]) -> List[Set[SubscriptionId]]:
-        """Match a batch of events against the kept summary, in order.
-
-        The batched form of :meth:`match_kept`: it goes through
-        :meth:`CompiledMatcher.match_many`, which amortizes the staleness
-        check over the batch.
         """
         self.events_examined += len(events)
         results = self._compiled_matcher().match_many(events)

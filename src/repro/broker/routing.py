@@ -16,12 +16,19 @@ that owner's subscriptions were examined (and notified) by an earlier hop,
 so re-notifying would deliver duplicates when visited brokers have
 overlapping knowledge.
 
-Step 1's summary check goes through :meth:`SummaryBroker.match_kept`, the
-compiled snapshot (:class:`repro.summary.compiled.CompiledMatcher`).  It
-returns the id sets of the reference Algorithm-1 walk, so every routing
-decision (owner notifications, BROCLI forwarding targets, hop counts) is
-the paper's; this is asserted end-to-end against the walk by
+:meth:`EventRouter.process_batch` is the one place these steps run, for a
+burst of EVENT frames at one broker; a single event is a burst of one.
+Step 1 checks the whole burst at once through
+:meth:`SummaryBroker.match_kept_many`, the compiled snapshot
+(:class:`repro.summary.compiled.CompiledMatcher`).  It returns the id sets
+of the reference Algorithm-1 walk, so every routing decision (owner
+notifications, BROCLI forwarding targets, hop counts) is the paper's; this
+is asserted end-to-end against the walk by
 ``tests/broker/test_routing.py::TestCompiledMatcherParity``.
+
+The router only sends: whoever owns the network delivers what it sent
+(:class:`~repro.broker.system.SummaryPubSub` runs the simulator, the live
+runtime pumps its outbox onto TCP links).
 """
 
 from __future__ import annotations
@@ -131,60 +138,38 @@ class EventRouter:
             ((self._epoch_field << self.BROKER_BITS) | broker_id) << self.SEQ_BITS
         ) | sequence
 
-    def publish(self, broker_id: int, event: Event) -> None:
-        """Inject a producer's event at its attached broker and run the
-        distributed processing to completion."""
-        publish_id = self.next_publish_id(broker_id)
-        tracer = self.tracer
-        if tracer.enabled:
-            with tracer.span(
-                "publish", broker=broker_id, trace_id=publish_id,
-                attributes=len(event),
-            ):
-                self.process_event(
-                    self.brokers[broker_id], event, frozenset(), publish_id
-                )
-                self.network.run()
-            return
-        self.process_event(self.brokers[broker_id], event, frozenset(), publish_id)
-        self.network.run()
-
     def publish_batch(self, broker_id: int, events: Sequence[Event]) -> List[int]:
-        """Inject a burst of producer events at one broker and run the
-        distributed processing of all of them to completion.
+        """Inject a burst of producer events at one broker and run its
+        Algorithm-3 hop; returns the minted publish ids.
 
-        Semantically identical to calling :meth:`publish` per event (each
-        event gets its own publish id, BROCLI search and notifications,
-        in order) but the ingress broker's Algorithm-1 check runs once
-        over the whole burst via :meth:`SummaryBroker.match_kept_many` —
-        the batched hot path of the live runtime.  Returns the minted
-        publish ids.
+        Each event gets its own publish id, BROCLI search and
+        notifications, in order, exactly as if published one at a time;
+        only the ingress broker's summary check is shared by the burst.
         """
-        broker = self.brokers[broker_id]
         ids = [self.next_publish_id(broker_id) for _ in events]
         tracer = self.tracer
-        if tracer.enabled:
-            for event, publish_id in zip(events, ids):
-                tracer.record(
-                    "publish", broker=broker_id, trace_id=publish_id,
-                    attributes=len(event), batched=True,
-                )
+        started = tracer.now()
         self.process_batch(
-            broker,
+            self.brokers[broker_id],
             [
                 (event, frozenset(), publish_id)
                 for event, publish_id in zip(events, ids)
             ],
         )
-        self.network.run()
+        if tracer.enabled:
+            for event, publish_id in zip(events, ids):
+                tracer.record(
+                    "publish", broker=broker_id, trace_id=publish_id,
+                    since=started, attributes=len(event),
+                )
         return ids
 
     def handle_message(self, dst: int, src: int, message: Message) -> bool:
         """Dispatch EVENT and NOTIFY messages; False for other kinds."""
         broker = self.brokers[dst]
         if isinstance(message, EventMessage):
-            self.process_event(
-                broker, message.event, message.brocli, message.publish_id
+            self.process_batch(
+                broker, [(message.event, message.brocli, message.publish_id)]
             )
             return True
         if isinstance(message, NotifyMessage):
@@ -219,7 +204,7 @@ class EventRouter:
             if self._all_brokers <= blocked:
                 self.searches_abandoned += 1
                 return True
-            target = self._next_router(blocked, src)
+            target = self._next_router(blocked, src, message.event)
             self.event_reroutes += 1
             self.network.send(
                 src,
@@ -250,60 +235,6 @@ class EventRouter:
 
     # -- Algorithm 3 at one broker ----------------------------------------------
 
-    def process_event(
-        self,
-        broker: SummaryBroker,
-        event: Event,
-        brocli_in: FrozenSet[int],
-        publish_id: int = 0,
-    ) -> None:
-        # Duplicate suppression: this broker already ran the search step
-        # for this publish (a redelivered EVENT message).
-        if not broker.first_routing_of(publish_id):
-            return
-        tracer = self.tracer
-        if not tracer.enabled:
-            # Step 1: check the local merged summary.
-            matched = broker.match_kept(event)
-            # Step 2: update BROCLI with this broker's Merged_Brokers
-            # (which includes its own id).
-            brocli = brocli_in | broker.merged_brokers | {broker.broker_id}
-            # Step 3: notify owners — but only those not examined upstream.
-            fresh = {sid for sid in matched if sid.broker not in brocli_in}
-            self._notify_owners(broker, event, fresh, publish_id)
-            # Step 4: keep searching until every broker is examined.
-            if brocli != self._all_brokers:
-                target = self._next_router(brocli, broker.broker_id)
-                self.network.send(
-                    broker.broker_id,
-                    target,
-                    EventMessage(event=event, brocli=brocli, publish_id=publish_id),
-                )
-            return
-        # Traced variant of the same four steps.
-        with tracer.span(
-            "route_hop", broker=broker.broker_id, trace_id=publish_id,
-            brocli_in=len(brocli_in),
-        ) as hop:
-            with tracer.span(
-                "summary_match", broker=broker.broker_id, trace_id=publish_id,
-            ) as match_span:
-                matched = broker.match_kept(event)
-                match_span.note(matched=len(matched))
-            brocli = brocli_in | broker.merged_brokers | {broker.broker_id}
-            fresh = {sid for sid in matched if sid.broker not in brocli_in}
-            self._notify_owners(broker, event, fresh, publish_id)
-            if brocli != self._all_brokers:
-                target = self._next_router(brocli, broker.broker_id)
-                hop.note(forwarded_to=target, brocli_out=len(brocli))
-                self.network.send(
-                    broker.broker_id,
-                    target,
-                    EventMessage(event=event, brocli=brocli, publish_id=publish_id),
-                )
-            else:
-                hop.note(search_complete=True, brocli_out=len(brocli))
-
     def process_batch(
         self,
         broker: SummaryBroker,
@@ -312,54 +243,64 @@ class EventRouter:
         """Algorithm 3 for a burst of EVENT frames at one broker.
 
         ``items`` is ``(event, brocli_in, publish_id)`` in arrival order.
-        The result is indistinguishable from calling :meth:`process_event`
-        once per item (asserted by
-        ``tests/broker/test_batch_differential.py``): duplicate publish
-        ids are suppressed through the same LRU, every event still walks
-        its own steps 2–4, and only step 1 — the summary check — is
-        batched through :meth:`SummaryBroker.match_kept_many` so the
-        compiled matcher checks its snapshot's staleness once per burst.
+        Duplicate publish ids are dropped through the broker's LRU, step 1
+        checks the whole burst in one :meth:`SummaryBroker.match_kept_many`
+        call, and every event walks its own steps 2–4.  The result equals
+        routing each event as a burst of one (asserted by
+        ``tests/broker/test_batch_differential.py``).
 
-        Batching is sound because EVENT processing never mutates the
+        Sharing step 1 is sound because EVENT processing never mutates the
         kept summary or ``Merged_Brokers`` (only SUMMARY frames do, and
-        the runtime's dispatch loop never folds those into a batch), so
+        the runtime's dispatch loop never folds those into a burst), so
         every event of the burst observes the same broker knowledge it
-        would have observed when processed one at a time.
+        would have observed alone.
         """
         fresh_items = [
             item for item in items if broker.first_routing_of(item[2])
         ]
         if not fresh_items:
             return
+        events = [event for event, _brocli, _pid in fresh_items]
+        own = broker.broker_id
         tracer = self.tracer
-        if tracer.enabled:
+        traced = tracer.enabled
+        # Step 1: check the local merged summary, once for the burst.
+        if traced:
             with tracer.span(
-                "batch_match", broker=broker.broker_id,
-                trace_id=fresh_items[0][2], batch=len(fresh_items),
+                "summary_match", broker=own, trace_id=fresh_items[0][2],
+                burst=len(events),
             ) as span:
-                matched_sets = broker.match_kept_many(
-                    [event for event, _brocli, _pid in fresh_items]
-                )
+                matched_sets = broker.match_kept_many(events)
                 span.note(matched=sum(len(m) for m in matched_sets))
         else:
-            matched_sets = broker.match_kept_many(
-                [event for event, _brocli, _pid in fresh_items]
-            )
+            matched_sets = broker.match_kept_many(events)
         merged = broker.merged_brokers
-        own = broker.broker_id
         all_brokers = self._all_brokers
         for (event, brocli_in, publish_id), matched in zip(
             fresh_items, matched_sets
         ):
+            # Step 2: add this broker's Merged_Brokers (its own id included).
             brocli = brocli_in | merged | {own}
+            # Step 3: notify owners — but only those not examined upstream.
             fresh = {sid for sid in matched if sid.broker not in brocli_in}
             self._notify_owners(broker, event, fresh, publish_id)
+            # Step 4: keep searching until every broker is examined.
+            target = None
             if brocli != all_brokers:
-                target = self._next_router(brocli, own)
+                target = self._next_router(brocli, own, event)
                 self.network.send(
                     own,
                     target,
                     EventMessage(event=event, brocli=brocli, publish_id=publish_id),
+                )
+            if traced:
+                outcome = (
+                    {"search_complete": True} if target is None
+                    else {"forwarded_to": target}
+                )
+                tracer.record(
+                    "route_hop", broker=own, trace_id=publish_id,
+                    brocli_in=len(brocli_in), brocli_out=len(brocli), **outcome,
                 )
 
     def _notify_owners(
@@ -390,12 +331,15 @@ class EventRouter:
                     ),
                 )
 
-    def _next_router(self, brocli: FrozenSet[int], origin: int) -> int:
+    def _next_router(
+        self, brocli: FrozenSet[int], origin: int, event: Event
+    ) -> int:
         """The highest-degree broker not yet examined (smallest id on ties).
 
-        ``origin`` is the broker doing the forwarding; the base policy
-        ignores it, but locality-aware subclasses route within the
-        origin's region first (see :mod:`repro.ext.locality`)."""
+        ``origin`` is the broker doing the forwarding and ``event`` the
+        event being routed; the base policy ignores both, but subclasses
+        route within the origin's region first (:mod:`repro.ext.locality`)
+        or rotate hubs per event (:mod:`repro.ext.virtual_degrees`)."""
         topology = self.network.topology
         remaining = [b for b in topology.brokers if b not in brocli]
         assert remaining, "caller guarantees BROCLI is incomplete"

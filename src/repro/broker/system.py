@@ -197,19 +197,6 @@ class SummaryPubSub:
         self.router.tracer = self.tracer
         self._wire_failure_listener()
 
-    def attach_tracer(self, tracer: Tracer) -> None:
-        """(Re)bind a tracer to every traced component.
-
-        Call this after construction to start tracing, or after an
-        extension swaps :attr:`router` (``enable_locality`` /
-        ``enable_virtual_degrees``) to keep the replacement traced.
-        """
-        self.tracer = tracer
-        self.router.tracer = tracer
-        self.propagation.tracer = tracer
-        for broker in self.brokers.values():
-            broker.tracer = tracer
-
     def _wire_failure_listener(self) -> None:
         """Let the router re-route searches the reliable transport gave up
         on.  The hook is duck-typed so plain/lossy/timed networks (which
@@ -268,58 +255,42 @@ class SummaryPubSub:
 
     def publish(self, broker_id: int, event: Event) -> PublishResult:
         """Inject an event (Algorithm 3) and run it to completion."""
-        self.schema.validate_event(event)
-        self.network.metrics = self.event_metrics
-        before = self.event_metrics.snapshot()
-        mark = len(self._delivery_log)
-        start = getattr(self.network, "now", None)
-        self.router.publish(broker_id, event)
-        if self.auditor is not None:
-            # Publishing never mutates summaries; the cheap O(#brokers)
-            # dedup-capacity check is the only invariant it can break.
-            self.auditor.audit_dedup(self)
-        after = self.event_metrics.snapshot()
-        deliveries = self._delivery_log[mark:]
-        latency_ms = None
-        if start is not None and deliveries:
-            stamps = [d.at for d in deliveries if d.at is not None]
-            if stamps:
-                latency_ms = max(stamps) - start
-        return PublishResult(
-            deliveries=deliveries,
-            hops=after["hops"] - before["hops"],
-            messages=after["messages"] - before["messages"],
-            bytes_sent=after["bytes_sent"] - before["bytes_sent"],
-            latency_ms=latency_ms,
-        )
+        return self.publish_batch(broker_id, [event])
 
     def publish_batch(self, broker_id: int, events: List[Event]) -> PublishResult:
-        """Inject a burst of events at one broker (Algorithm 3, batched).
+        """Inject a burst of events at one broker (Algorithm 3) and run
+        them to completion; :meth:`publish` is the burst of one.
 
         The ingress broker's summary check runs once over the whole burst
         (:meth:`EventRouter.publish_batch` →
-        :meth:`~repro.broker.broker.SummaryBroker.match_kept_many`), which
-        is the simulator-side twin of the live runtime's batched dispatch
-        loop; routing decisions, notifications and deliveries are
-        per-event identical to publishing each event on its own (see
-        ``tests/broker/test_batch_differential.py``).  Returns one
-        aggregate :class:`PublishResult` over the burst.
+        :meth:`~repro.broker.broker.SummaryBroker.match_kept_many`), as in
+        the live runtime's dispatch loop; routing decisions, notifications
+        and deliveries are per-event identical to publishing each event on
+        its own (see ``tests/broker/test_batch_differential.py``).  Returns
+        one aggregate :class:`PublishResult` over the burst.
         """
         for event in events:
             self.schema.validate_event(event)
         self.network.metrics = self.event_metrics
         before = self.event_metrics.snapshot()
         mark = len(self._delivery_log)
+        start = getattr(self.network, "now", None)
         self.event_metrics.record_match_batch(len(events))
         self.router.publish_batch(broker_id, events)
+        self.network.run()
         if self.auditor is not None:
+            # Publishing never mutates summaries; the cheap O(#brokers)
+            # dedup-capacity check is the only invariant it can break.
             self.auditor.audit_dedup(self)
         after = self.event_metrics.snapshot()
+        deliveries = self._delivery_log[mark:]
+        stamps = [d.at for d in deliveries if d.at is not None]
         return PublishResult(
-            deliveries=self._delivery_log[mark:],
+            deliveries=deliveries,
             hops=after["hops"] - before["hops"],
             messages=after["messages"] - before["messages"],
             bytes_sent=after["bytes_sent"] - before["bytes_sent"],
+            latency_ms=max(stamps) - start if start is not None and stamps else None,
         )
 
     # -- measurement helpers ------------------------------------------------------

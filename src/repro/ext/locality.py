@@ -25,6 +25,7 @@ from typing import FrozenSet
 
 from repro.broker.routing import EventRouter
 from repro.broker.system import SummaryPubSub
+from repro.model.events import Event
 from repro.network.federation import Federation
 
 __all__ = ["LocalityRouter", "enable_locality"]
@@ -37,7 +38,9 @@ class LocalityRouter(EventRouter):
         super().__init__(network, brokers)
         self.federation = federation
 
-    def _next_router(self, brocli: FrozenSet[int], origin: int) -> int:
+    def _next_router(
+        self, brocli: FrozenSet[int], origin: int, event: Event
+    ) -> int:
         topology = self.network.topology
         remaining = [b for b in topology.brokers if b not in brocli]
         assert remaining, "caller guarantees BROCLI is incomplete"

@@ -38,15 +38,10 @@ class VirtualDegreeRouter(EventRouter):
         if tolerance < 0:
             raise ValueError("tolerance must be non-negative")
         self.tolerance = tolerance
-        self._current_event: Event = None  # type: ignore[assignment]
 
-    # The event being processed is needed by the ranking; process_event is
-    # the single entry point for both publishes and forwards.
-    def process_event(self, broker, event, brocli_in, publish_id=0):
-        self._current_event = event
-        super().process_event(broker, event, brocli_in, publish_id)
-
-    def _next_router(self, brocli: FrozenSet[int], origin: int) -> int:
+    def _next_router(
+        self, brocli: FrozenSet[int], origin: int, event: Event
+    ) -> int:
         topology = self.network.topology
         remaining = [b for b in topology.brokers if b not in brocli]
         assert remaining, "caller guarantees BROCLI is incomplete"
@@ -54,7 +49,7 @@ class VirtualDegreeRouter(EventRouter):
         hub_class = [
             b for b in remaining if topology.degree(b) >= best_degree - self.tolerance
         ]
-        key = _event_key(self._current_event)
+        key = _event_key(event)
         return max(hub_class, key=lambda b: (_rotation(key, b), -b))
 
 

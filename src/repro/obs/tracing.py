@@ -7,11 +7,15 @@ regressed*".  :class:`Tracer` records one :class:`Span` per pipeline stage:
 ====================  ==========================================================
 span kind             emitted by
 ====================  ==========================================================
-``publish``           :meth:`repro.broker.routing.EventRouter.publish` — the
-                      whole injected-event lifetime, ``trace_id = publish_id``
-``route_hop``         one Algorithm-3 step at one broker (BROCLI hop)
-``summary_match``     the kept-summary match inside a hop (field:
-                      ``matched``)
+``publish``           :meth:`repro.broker.routing.EventRouter.publish_batch` —
+                      one injected event, ``trace_id = publish_id``, from
+                      minting to the end of its burst's ingress hop
+``route_hop``         one Algorithm-3 hop of one event at one broker (zero
+                      duration; fields: ``brocli_in``, ``brocli_out``, and
+                      ``forwarded_to`` or ``search_complete``)
+``summary_match``     the kept-summary match of one burst of events at one
+                      broker (fields: ``burst``, ``matched``; ``trace_id`` is
+                      the burst's first publish id)
 ``notify``            one NOTIFY send to an owning broker (zero duration)
 ``recheck``           owner-side exact re-check: the owner-index match of
                       the candidates (fields: ``candidates``,
@@ -55,7 +59,6 @@ PIPELINE_KINDS: Tuple[str, ...] = (
     "publish",
     "route_hop",
     "summary_match",
-    "batch_match",
     "notify",
     "recheck",
     "delivery",
@@ -146,17 +149,25 @@ class Tracer:
         """A context manager timing one stage::
 
             with tracer.span("summary_match", broker=3, trace_id=pid) as s:
-                matched = broker.match_kept(event)
+                matched = broker.match_kept_many([event])[0]
                 s.note(matched=len(matched))
         """
         return _SpanHandle(self, kind, broker, trace_id, dict(fields))
 
     def record(self, kind: str, broker: int = -1, trace_id: int = 0,
-               **fields: object) -> None:
-        """An instantaneous (zero-duration) event record."""
+               since: Optional[float] = None, **fields: object) -> None:
+        """An instantaneous (zero-duration) event record — or, given
+        ``since`` (a :meth:`now` reading), the span from then until now."""
+        end = self._clock()
+        start = end if since is None else since
         self._append(
-            kind, broker, trace_id, (self._clock() - self._epoch) * 1e6, 0.0, fields
+            kind, broker, trace_id, (start - self._epoch) * 1e6,
+            (end - start) * 1e6, fields,
         )
+
+    def now(self) -> float:
+        """A clock reading to pass to :meth:`record` as ``since``."""
+        return self._clock()
 
     def _append(self, kind: str, broker: int, trace_id: int, t_us: float,
                 dur_us: float, fields: Dict[str, object]) -> None:
@@ -229,8 +240,11 @@ class NullTracer:
         return _NULL_SPAN
 
     def record(self, kind: str, broker: int = -1, trace_id: int = 0,
-               **fields: object) -> None:
+               since: Optional[float] = None, **fields: object) -> None:
         pass
+
+    def now(self) -> float:
+        return 0.0
 
     def __len__(self) -> int:
         return 0

@@ -73,7 +73,7 @@ import signal
 import sys
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.broker.broker import SummaryBroker
 from repro.broker.persistence import allocate_epoch, save_broker
@@ -142,13 +142,13 @@ DEFAULT_MAX_SUBSCRIPTIONS = 1 << 20
 class RuntimeNetwork:
     """The network object the engines see: buffer sends.
 
-    Engine code (:class:`EventRouter`, the shared propagation policy) was
-    written against the simulator's ``Network`` interface — ``topology``,
-    ``send(src, dst, message)``, ``run()``.  Here ``send`` appends
+    Engine code (:class:`EventRouter`, the shared propagation policy) only
+    needs ``topology`` and ``send(src, dst, message)`` from a network; the
+    engines never drive delivery themselves.  Here ``send`` appends
     ``(dst, message)`` to :attr:`outbox`; the runtime drains the outbox
     onto real TCP links immediately after each synchronous dispatch, and
-    the link writer meters what it actually wrote.  ``run()`` is a no-op —
-    delivery happens when the frames arrive.
+    the link writer meters what it actually wrote.  Delivery happens when
+    the frames arrive.
     """
 
     def __init__(self, topology: Topology):
@@ -157,9 +157,6 @@ class RuntimeNetwork:
 
     def send(self, src: int, dst: int, message: Message) -> None:
         self.outbox.append((dst, message))
-
-    def run(self) -> None:
-        """Engine compatibility (:meth:`EventRouter.publish` calls it)."""
 
     def take_outbox(self) -> List[Tuple[int, Message]]:
         """Atomically claim everything buffered so far (no awaits here —
@@ -357,6 +354,31 @@ class ClientSession:
             self.role, "peer?"
         )
         return f"ClientSession({kind} #{self.session_id}, {len(self.sids)} sids)"
+
+
+def _event_runs(
+    burst: List[Message],
+) -> Iterator[Union[List[EventMessage], Message]]:
+    """A received burst in order: each contiguous run of EVENT frames as
+    one list, every other frame on its own.
+
+    An EVENT run is dispatched as one batch (the compiled matcher's
+    ``match_many`` hot path); any other frame breaks the run, so
+    cross-kind ordering — an EVENT sees exactly the kept summary that
+    preceded it on the wire, a PING is a completion barrier — is what a
+    frame-at-a-time loop would have produced.
+    """
+    run: List[EventMessage] = []
+    for message in burst:
+        if isinstance(message, EventMessage):
+            run.append(message)
+            continue
+        if run:
+            yield run
+            run = []
+        yield message
+    if run:
+        yield run
 
 
 class BrokerRuntime:
@@ -691,38 +713,24 @@ class BrokerRuntime:
             burst = await conn.recv_burst(self.batch_frames)
             if not burst:
                 return
-            # Contiguous EVENT runs are dispatched as one batch (the
-            # compiled matcher's ``match_many`` hot path); SUMMARY and
-            # NOTIFY frames break the run so cross-kind ordering — an
-            # EVENT must see exactly the kept summary that preceded it on
-            # the wire — is byte-for-byte what a frame-at-a-time loop
-            # would have produced.
-            index, total = 0, len(burst)
-            while index < total:
-                message = burst[index]
-                if isinstance(message, EventMessage):
-                    end = index + 1
-                    while end < total and isinstance(burst[end], EventMessage):
-                        end += 1
-                    items = [
-                        (m.event, m.brocli, m.publish_id)
-                        for m in burst[index:end]
-                    ]
-                    self._process_burst(items)
-                    index = end
+            for run in _event_runs(burst):
+                if isinstance(run, list):
+                    self._process_burst(
+                        [(m.event, m.brocli, m.publish_id) for m in run]
+                    )
                 else:
-                    self._dispatch_peer(peer_id, message)
-                    index += 1
+                    self._dispatch_peer(peer_id, run)
             await self._pump()
             # Counted only after the dispatch *and* the pump: a processed
             # frame's downstream sends are already on their queues, so
             # cluster-wide enqueued == processed means true quiescence.
-            self.frames_processed += total
+            self.frames_processed += len(burst)
 
     def _dispatch_peer(self, src: int, message: Message) -> None:
-        """Same engines, same decisions as the simulator's dispatch: the
-        router takes EVENT and NOTIFY frames, the broker the period frames
-        (a reply rides the outbox and is pumped with this burst)."""
+        """Same engines, same decisions as the simulator's dispatch for one
+        frame outside an EVENT run: the router takes NOTIFY frames, the
+        broker the period frames (a reply rides the outbox and is pumped
+        with this burst)."""
         if self.router.handle_message(self.broker_id, src, message):
             return
         reply = self.broker.receive_period_frame(src, message)
@@ -737,23 +745,11 @@ class BrokerRuntime:
                 burst = await conn.recv_burst(self.batch_frames)
                 if not burst:
                     return
-                # Publish bursts batch through the compiled matcher; any
-                # other frame (SUB/UNSUB/PING) breaks the run so request
-                # ordering — and the PING completion barrier — holds.
-                index, total = 0, len(burst)
-                while index < total:
-                    message = burst[index]
-                    if isinstance(message, EventMessage):
-                        end = index + 1
-                        while end < total and isinstance(burst[end], EventMessage):
-                            end += 1
-                        await self._handle_publish_burst(
-                            [m.event for m in burst[index:end]]
-                        )
-                        index = end
+                for run in _event_runs(burst):
+                    if isinstance(run, list):
+                        await self._handle_publish_burst([m.event for m in run])
                     else:
-                        await self._handle_client_frame(session, message)
-                        index += 1
+                        await self._handle_client_frame(session, run)
         finally:
             self._sessions.discard(session)
             # Subscriptions survive the disconnect (durable, snapshot-able);
@@ -789,11 +785,8 @@ class BrokerRuntime:
         self.router.publish_batch(self.broker_id, events)
 
     async def _handle_client_frame(self, session: ClientSession, message: Message) -> None:
-        if isinstance(message, EventMessage):
-            # Single-frame publish (reached when a caller dispatches
-            # outside `_serve_client`'s burst loop): same path, burst of 1.
-            await self._handle_publish_burst([message.event])
-        elif isinstance(message, SubscribeMessage):
+        """One SUB/UNSUB/PING frame (PUB frames arrive as EVENT runs)."""
+        if isinstance(message, SubscribeMessage):
             try:
                 sid = self.broker.subscribe(message.subscription)
             except (IdSpaceExhausted, SchemaError, ValueError) as exc:

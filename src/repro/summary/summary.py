@@ -106,6 +106,10 @@ class BrokerSummary:
 
     def _add_arithmetic(self, name: str, constraints, sid: SubscriptionId) -> None:
         values = intervals_for_conjunction(constraints)
+        if values.is_empty:
+            # Contradictory constraints match nothing: file no row, and
+            # leave no empty structure behind for a removal to prune.
+            return
         self._aacs_for(name).insert(values, sid)
 
     def _add_string(self, name: str, constraints, sid: SubscriptionId) -> None:
@@ -170,18 +174,18 @@ class BrokerSummary:
     # -- maintenance ------------------------------------------------------------------
 
     def remove(self, sid: SubscriptionId) -> bool:
-        """Remove a subscription id from every structure it appears in."""
+        """Remove a subscription id from the structures of the attributes
+        its ``c3`` mask names — :meth:`add` files it nowhere else."""
         found = False
-        for name in list(self._aacs):
-            if self._aacs[name].remove(sid):
+        for name in self.schema.names_from_mask(sid.attr_mask):
+            structures = self._sacs if name in self._sacs else self._aacs
+            structure = structures.get(name)
+            if structure is None:
+                continue
+            if structure.remove(sid):
                 found = True
-            if self._aacs[name].is_empty:
-                del self._aacs[name]
-        for name in list(self._sacs):
-            if self._sacs[name].remove(sid):
-                found = True
-            if self._sacs[name].is_empty:
-                del self._sacs[name]
+            if structure.is_empty:
+                del structures[name]
         if found:
             self._generation += 1
         return found

@@ -22,7 +22,11 @@ from different brokers.  Three systems consume the identical schedule:
 
 All three must produce the same delivery multiset, burst by burst, and
 the batched system must also agree on hop counts — batching must not
-change any routing decision, only amortize the match.
+change any routing decision, only amortize the match.  Hypothesis also
+draws the router: the plain one, or the virtual-degree one
+(:func:`repro.ext.virtual_degrees.enable_virtual_degrees`), whose
+forwarding target depends on the event being routed; the first burst of
+every scenario runs on a router that has not routed anything yet.
 
 Budget is configurable for CI's high-budget differential job::
 
@@ -35,6 +39,7 @@ from collections import Counter
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.broker.system import SummaryPubSub
+from repro.ext.virtual_degrees import enable_virtual_degrees
 from repro.network import Topology
 from repro.workload.popularity import (
     popularity_event,
@@ -60,7 +65,7 @@ TOPOLOGY_BUILDERS = {
 
 @st.composite
 def schedules(draw):
-    """A (topology, subscriptions, bursts) differential scenario.
+    """A (topology, router, subscriptions, bursts) differential scenario.
 
     ``subscriptions`` is a list of ``(home broker, probe target)`` pairs —
     the home broker subscribes to the probe of ``probe target``, so one
@@ -68,6 +73,7 @@ def schedules(draw):
     ``bursts`` is the interleaving: ``(ingress broker, [matched sets])``.
     """
     name = draw(st.sampled_from(sorted(TOPOLOGY_BUILDERS)))
+    router = draw(st.sampled_from(["plain", "virtual"]))
     topology = TOPOLOGY_BUILDERS[name]()
     brokers = sorted(topology.brokers)
     broker = st.sampled_from(brokers)
@@ -82,14 +88,15 @@ def schedules(draw):
             max_size=6,
         )
     )
-    return name, subscriptions, bursts
+    return name, router, subscriptions, bursts
 
 
-def build_system(topology, subscriptions, reference=False):
+def build_system(topology, subscriptions, reference=False, router="plain"):
     system = SummaryPubSub(topology, popularity_schema())
+    if router == "virtual":
+        enable_virtual_degrees(system)
     if reference:
         for broker in system.brokers.values():
-            broker.match_kept = lambda event, b=broker: b.kept_summary.match(event)
             broker.match_kept_many = lambda events, b=broker: [
                 b.kept_summary.match(event) for event in events
             ]
@@ -111,11 +118,13 @@ def delivery_multiset(result):
 @DIFF_SETTINGS
 @given(schedules())
 def test_batched_equals_sequential_for_any_interleaving(scenario):
-    name, subscriptions, bursts = scenario
+    name, router, subscriptions, bursts = scenario
     topology = TOPOLOGY_BUILDERS[name]()
-    batched, _ = build_system(topology, subscriptions)
-    sequential, _ = build_system(topology, subscriptions)
-    oracle, _ = build_system(topology, subscriptions, reference=True)
+    batched, _ = build_system(topology, subscriptions, router=router)
+    sequential, _ = build_system(topology, subscriptions, router=router)
+    oracle, _ = build_system(
+        topology, subscriptions, reference=True, router=router
+    )
 
     for ingress, matched_sets in bursts:
         events = [popularity_event(matched) for matched in matched_sets]
@@ -148,9 +157,9 @@ def test_batched_equals_sequential_for_any_interleaving(scenario):
 def test_duplicated_burst_is_fully_redelivered(scenario):
     """Publishing a burst twice delivers twice: fresh publish ids mean the
     dedup LRU must never confuse re-publishes with retransmits."""
-    name, subscriptions, bursts = scenario
+    name, router, subscriptions, bursts = scenario
     topology = TOPOLOGY_BUILDERS[name]()
-    system, _ = build_system(topology, subscriptions)
+    system, _ = build_system(topology, subscriptions, router=router)
 
     ingress, matched_sets = bursts[0]
     events = [popularity_event(matched) for matched in matched_sets]

@@ -17,7 +17,6 @@ def walk_reference(system):
     """Point every broker's summary check at the reference Algorithm-1
     walk (``kept_summary.match``): the oracle the compiled engine is held to."""
     for broker in system.brokers.values():
-        broker.match_kept = lambda event, b=broker: b.kept_summary.match(event)
         broker.match_kept_many = lambda events, b=broker: [
             b.kept_summary.match(event) for event in events
         ]
@@ -53,8 +52,8 @@ class TestPaperExample3:
         hops = []
         original = system.router._next_router
 
-        def spy(brocli, origin):
-            choice = original(brocli, origin)
+        def spy(brocli, origin, event):
+            choice = original(brocli, origin, event)
             hops.append(choice)
             return choice
 
@@ -130,8 +129,8 @@ class TestCompiledMatcherParity:
         hops = []
         original = system.router._next_router
 
-        def spy(brocli, origin):
-            choice = original(brocli, origin)
+        def spy(brocli, origin, event):
+            choice = original(brocli, origin, event)
             hops.append((origin, choice))
             return choice
 

@@ -505,7 +505,7 @@ def _notified(broker: SummaryBroker, event: Event) -> set:
     """What an owner is notified of: its summarized frontier members the
     kept summary matches, plus its pending ones that match (as they will
     once propagated)."""
-    return broker.match_kept(event) | {
+    return broker.match_kept_many([event])[0] | {
         sid for sid, subscription in broker.pending if subscription.matches(event)
     }
 

@@ -50,7 +50,7 @@ def test_unsubscribe_mid_period_does_not_resurrect(
     broker.finish_period()  # pre-fix: merged the stale adds back
 
     assert sid not in broker.kept_summary.all_ids()
-    assert sid not in broker.match_kept(paper_event)
+    assert sid not in broker.match_kept_many([paper_event])[0]
     SummaryAuditor(broker.schema).assert_clean(broker)
 
 
@@ -66,7 +66,7 @@ def test_unsubscribe_mid_period_spares_other_pending(
     assert broker.unsubscribe(sid1)
     broker.finish_period()
     assert broker.kept_summary.all_ids() == {sid2}
-    assert broker.match_kept(paper_event) == set()  # S2 doesn't match fig. 2
+    assert broker.match_kept_many([paper_event])[0] == set()  # S2 doesn't match fig. 2
 
 
 def test_unsubscribe_outside_period_still_clean(
@@ -77,7 +77,7 @@ def test_unsubscribe_outside_period_still_clean(
     broker.begin_period()
     broker.act_period(None)
     broker.finish_period()
-    assert sid in broker.match_kept(paper_event)
+    assert sid in broker.match_kept_many([paper_event])[0]
     assert broker.unsubscribe(sid)
     assert sid not in broker.kept_summary.all_ids()
     assert broker.pending == []

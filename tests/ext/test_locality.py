@@ -63,8 +63,8 @@ class TestLocalityBenefit:
         visits = []
         original = system.router._next_router
 
-        def spy(brocli, origin):
-            choice = original(brocli, origin)
+        def spy(brocli, origin, event):
+            choice = original(brocli, origin, event)
             visits.append((origin, choice))
             return choice
 

@@ -142,6 +142,14 @@ class TestEndToEndLatency:
         outcome = system.publish(0, Event.of(price=5.0))
         assert outcome.latency_ms is not None and outcome.latency_ms > 0
         assert all(d.at is not None for d in outcome.deliveries)
+        # A burst of one is the same publish: same latency.
+        twin = SummaryPubSub(
+            cable_wireless_24(), schema, latency=SeededLatency(seed=4)
+        )
+        twin.subscribe(5, parse_subscription(schema, "price > 1"))
+        twin.run_propagation_period()
+        burst = twin.publish_batch(0, [Event.of(price=5.0)])
+        assert burst.latency_ms == outcome.latency_ms
 
     def test_plain_network_reports_no_latency(self):
         from repro.broker import SummaryPubSub

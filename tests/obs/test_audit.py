@@ -175,7 +175,7 @@ def test_audit_dedup_raises_on_system(small_workload):
 
 def test_compiled_accounting(schema, paper_subscriptions, paper_event):
     broker, _sids = _settled_broker(schema, paper_subscriptions)
-    broker.match_kept(paper_event)  # builds + binds the snapshot
+    broker.match_kept_many([paper_event])  # builds + binds the snapshot
     auditor = SummaryAuditor(schema)
     assert "compiled-accounting" not in _checks(auditor.audit_broker(broker))
     signatures = broker._compiled._signatures
@@ -219,15 +219,15 @@ def test_paranoid_match_detects_compiled_divergence(
 ):
     broker, sids = _settled_broker(schema, paper_subscriptions)
     broker.paranoid = True
-    assert sids[0] in broker.match_kept(paper_event)  # parity holds
+    assert sids[0] in broker.match_kept_many([paper_event])[0]  # parity holds
     _desync_compiled(broker, sids[0], "price")
     with pytest.raises(AuditError, match="match-parity"):
-        broker.match_kept(paper_event)
+        broker.match_kept_many([paper_event])
 
 
 def test_check_match_parity_helper(schema, paper_subscriptions, paper_event):
     broker, sids = _settled_broker(schema, paper_subscriptions)
-    broker.match_kept(paper_event)
+    broker.match_kept_many([paper_event])
     assert SummaryAuditor.check_match_parity(broker, paper_event) is None
     _desync_compiled(broker, sids[0], "price")
     violation = SummaryAuditor.check_match_parity(broker, paper_event)
@@ -240,9 +240,9 @@ def test_unparanoid_match_misses_the_divergence(
     """Without paranoid mode the same corruption sails through — the
     contrast that justifies the cross-check's existence."""
     broker, sids = _settled_broker(schema, paper_subscriptions)
-    broker.match_kept(paper_event)
+    broker.match_kept_many([paper_event])
     _desync_compiled(broker, sids[0], "price")
-    assert sids[0] in broker.match_kept(paper_event)  # stale, undetected
+    assert sids[0] in broker.match_kept_many([paper_event])[0]  # stale, undetected
 
 
 # -- error type / env plumbing ------------------------------------------------
