@@ -8,7 +8,6 @@ equality asserted throughout.
 import pytest
 
 from repro.broker.system import SummaryPubSub
-from repro.ext.hybrid import HybridPubSub
 from repro.model import parse_subscription, stock_schema
 
 
@@ -31,13 +30,11 @@ def _load(topology, system_cls, **kwargs):
     return system
 
 
-# Suppression is now on by default, so the "plain" arm of the ablation
-# must opt out explicitly; HybridPubSub survives as the legacy alias and
-# must measure identically to the default system.
+# Suppression is on by default, so the "plain" arm of the ablation must
+# opt out explicitly.
 MODES = [
     ("plain", SummaryPubSub, {"suppress_covered": False}),
     ("hybrid", SummaryPubSub, {}),
-    ("hybrid-alias", HybridPubSub, {}),
 ]
 
 

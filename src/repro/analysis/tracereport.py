@@ -8,8 +8,10 @@ pipeline stage regressed*.  The report has three parts:
 1. **Stage table** — per span kind (in pipeline order): count, total,
    mean, p50/p95, max duration.  Zero-duration record kinds (``route_hop``,
    ``notify``, ``delivery``, ``summary_send``) report counts only.
-2. **Publish digest** — per publish trace: hop count, notifications,
-   deliveries and end-to-end duration (from the start of the ``publish``
+2. **Publish digest** — per publish trace: hop count, kept-summary
+   matches (the ``matched`` of its ``route_hop`` records, so a burst's
+   events each count their own), notifications, deliveries and
+   end-to-end duration (from the start of the ``publish``
    span to the end of the trace's last span); the report lists the slowest.
 3. **Propagation digest** — per period: duration and summary sends.
 
@@ -145,10 +147,7 @@ class TraceReport:
                 trace_id=trace_id,
                 origin=publish[0].broker,
                 hops=len(hops),
-                matches=sum(
-                    int(s.fields.get("matched", 0))
-                    for s in spans if s.kind == "summary_match"
-                ),
+                matches=sum(int(s.fields.get("matched", 0)) for s in hops),
                 notifies=len([s for s in spans if s.kind == "notify"]),
                 deliveries=sum(
                     int(s.fields.get("count", 1))

@@ -11,30 +11,26 @@ notified directly to the owning brokers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
-from repro.broker.system import Delivery, PublishResult
+from repro.broker.core import DEFAULT_MAX_SUBSCRIPTIONS
+from repro.broker.system import Delivery, PublishResult, SimulatedSystem
 from repro.model.events import Event
-from repro.model.ids import IdCodec, SubscriptionId
+from repro.model.ids import SubscriptionId
 from repro.model.schema import Schema
 from repro.model.subscriptions import Subscription
-from repro.network.metrics import NetworkMetrics
 from repro.network.simulator import Network
 from repro.network.topology import Topology
 from repro.summary.matching import NaiveMatcher
 from repro.summary.maintenance import SubscriptionStore
-from repro.wire.codec import ValueWidth, WireCodec
+from repro.wire.codec import ValueWidth
 from repro.wire.messages import (
     Message,
-    MessageCodec,
     NotifyMessage,
     SubscriptionBatchMessage,
 )
 
 __all__ = ["BroadcastPubSub"]
-
-DEFAULT_MAX_SUBSCRIPTIONS = 1 << 20
 
 
 class _BroadcastBroker:
@@ -57,7 +53,7 @@ class _Dispatcher:
         self._system._dispatch(self._broker_id, src, message)
 
 
-class BroadcastPubSub:
+class BroadcastPubSub(SimulatedSystem):
     """The everything-everywhere baseline system."""
 
     def __init__(
@@ -67,21 +63,8 @@ class BroadcastPubSub:
         value_width: ValueWidth = ValueWidth.F32,
         max_subscriptions: int = DEFAULT_MAX_SUBSCRIPTIONS,
     ):
-        self.topology = topology
-        self.schema = schema
-        self.id_codec = IdCodec(
-            num_brokers=topology.num_brokers,
-            max_subscriptions=max_subscriptions,
-            num_attributes=len(schema),
-        )
-        self.wire = WireCodec(schema, self.id_codec, value_width)
-        self.message_codec = MessageCodec(self.wire)
-
-        self.propagation_metrics = NetworkMetrics()
-        self.event_metrics = NetworkMetrics()
+        super().__init__(topology, schema, max_subscriptions, value_width)
         self.network = Network(topology, self.message_codec, self.propagation_metrics)
-
-        self._delivery_log: List[Delivery] = []
         self.brokers: Dict[int, _BroadcastBroker] = {}
         for broker_id in topology.brokers:
             self.brokers[broker_id] = _BroadcastBroker(broker_id, schema)
@@ -138,13 +121,7 @@ class BroadcastPubSub:
                     broker_id, owner, NotifyMessage(event=event, matched=frozenset(sids))
                 )
         self.network.run()
-        after = self.event_metrics.snapshot()
-        return PublishResult(
-            deliveries=self._delivery_log[mark:],
-            hops=after["hops"] - before["hops"],
-            messages=after["messages"] - before["messages"],
-            bytes_sent=after["bytes_sent"] - before["bytes_sent"],
-        )
+        return self._publish_result(before, mark)
 
     # -- measurement helpers ------------------------------------------------------
 
@@ -155,18 +132,6 @@ class BroadcastPubSub:
             for _sid, subscription in broker.global_table.subscriptions().items():
                 total += self.wire.subscription_size(subscription)
         return total
-
-    def ground_truth_matches(self, event: Event) -> Set[Tuple[int, SubscriptionId]]:
-        matches: Set[Tuple[int, SubscriptionId]] = set()
-        for broker_id, broker in self.brokers.items():
-            for sid, subscription in broker.store.items():
-                if subscription.matches(event):
-                    matches.add((broker_id, sid))
-        return matches
-
-    @property
-    def delivery_log(self) -> List[Delivery]:
-        return list(self._delivery_log)
 
     # -- internals -------------------------------------------------------------------
 

@@ -419,6 +419,12 @@ class SummaryBroker:
                 if sid.broker not in flow:
                     snapshot.remove(sid)
             return self.snapshot_frame(src, snapshot, flow)
+        return self.receive_extension_frame(src, message)
+
+    def receive_extension_frame(self, src: int, message: Message) -> Optional[Message]:
+        """A peer frame outside Algorithms 2 and 3.  There is none here;
+        an extension broker that floods frames of its own takes them by
+        overriding this."""
         raise CodecError(f"unexpected peer frame {type(message).__name__}")
 
     def _foreign(self, summary: BrokerSummary) -> BrokerSummary:

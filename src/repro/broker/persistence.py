@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 import tempfile
 from pathlib import Path
-from typing import List, Union
+from typing import Dict, Iterable, List, Union
 
 from repro.broker.broker import SummaryBroker
 from repro.broker.system import SummaryPubSub
@@ -40,6 +40,7 @@ __all__ = [
     "save_broker",
     "save_system",
     "load_system",
+    "snapshot_files",
     "snapshot_path",
     "write_snapshot_atomic",
     "SNAPSHOT_MAGIC",
@@ -254,33 +255,27 @@ def save_broker(broker: SummaryBroker, directory: PathLike, wire: WireCodec) -> 
 
 def save_system(system: SummaryPubSub, directory: PathLike) -> List[Path]:
     """Snapshot every broker to ``<directory>/broker-<id>.snap`` (each file
-    written atomically — see :func:`write_snapshot_atomic`)."""
-    target = Path(directory)
-    target.mkdir(parents=True, exist_ok=True)
-    codec = SnapshotCodec(system.wire)
-    written: List[Path] = []
-    for broker_id, broker in sorted(system.brokers.items()):
-        path = snapshot_path(target, broker_id)
-        write_snapshot_atomic(path, codec.encode_broker(broker))
-        written.append(path)
-    return written
+    written atomically by :func:`save_broker`)."""
+    return [
+        save_broker(broker, directory, system.wire)
+        for _broker_id, broker in sorted(system.brokers.items())
+    ]
 
 
-def load_system(system: SummaryPubSub, directory: PathLike) -> SummaryPubSub:
-    """Restore snapshots into a freshly-built system (same topology/schema).
+def snapshot_files(directory: PathLike, broker_ids: Iterable[int]) -> Dict[int, Path]:
+    """Each broker's snapshot in ``directory``, in broker-id order.
 
-    The caller constructs the empty system (topology, schema, precision and
-    codec parameters must match the saved deployment — the snapshot format
-    carries subscriptions, not configuration).
-
-    Every broker in the topology must have its snapshot, and every
-    ``broker-*.snap`` file in the directory must belong to a broker in the
-    topology: a stray snapshot means the directory was written by a
-    *different* deployment (more brokers, different numbering), and
-    silently ignoring it would half-restore that deployment's state.
+    Every broker must have its snapshot, and every ``broker-*.snap`` file
+    in the directory must belong to one of them: a stray snapshot means
+    the directory was written by a *different* deployment (more brokers,
+    different numbering), and silently ignoring it would half-restore that
+    deployment's state.  Both rules are checked before anything loads.
     """
     source = Path(directory)
-    expected = {snapshot_path(source, b).name for b in system.brokers}
+    paths = {
+        broker_id: snapshot_path(source, broker_id) for broker_id in sorted(broker_ids)
+    }
+    expected = {path.name for path in paths.values()}
     strays = sorted(
         p.name for p in source.glob("broker-*.snap") if p.name not in expected
     )
@@ -290,10 +285,21 @@ def load_system(system: SummaryPubSub, directory: PathLike) -> SummaryPubSub:
             f"this topology ({', '.join(strays)}); refusing to half-restore a "
             f"mismatched deployment"
         )
-    codec = SnapshotCodec(system.wire)
-    for broker_id, broker in sorted(system.brokers.items()):
-        path = snapshot_path(source, broker_id)
+    for broker_id, path in paths.items():
         if not path.exists():
             raise FileNotFoundError(f"missing snapshot for broker {broker_id}: {path}")
-        codec.restore_broker(path.read_bytes(), broker)
+    return paths
+
+
+def load_system(system: SummaryPubSub, directory: PathLike) -> SummaryPubSub:
+    """Restore snapshots into a freshly-built system (same topology/schema).
+
+    The caller constructs the empty system (topology, schema, precision and
+    codec parameters must match the saved deployment — the snapshot format
+    carries subscriptions, not configuration).  The directory must hold
+    exactly one snapshot per broker (:func:`snapshot_files`).
+    """
+    codec = SnapshotCodec(system.wire)
+    for broker_id, path in snapshot_files(directory, system.brokers).items():
+        codec.restore_broker(path.read_bytes(), system.brokers[broker_id])
     return system

@@ -23,19 +23,19 @@ paper observes that full propagation "always requires a number of hops that
 is smaller than the number of brokers in the system".
 
 The period itself is a :class:`~repro.broker.broker.Period` on each
-broker, stepped through ``begin_period`` / ``act_period`` /
-``finish_period``, and the receive side (absorb a SUMMARY or
-SUMMARY_DELTA, answer a SUMMARY_REQUEST) is
-:meth:`~repro.broker.broker.SummaryBroker.receive_period_frame`; this
-engine only orders the acts and moves the frames.
+broker.  A broker's act (target, frame, trace record, send) is
+:meth:`~repro.broker.core.BrokerCore.act`, and its receive side (absorb a
+SUMMARY or SUMMARY_DELTA, answer a SUMMARY_REQUEST) is
+:meth:`~repro.broker.core.BrokerCore.receive`; the live runtime calls the
+same two.  This engine only orders the acts and moves the frames.
 
 **Target-selection policy.**  When several eligible neighbors exist the
 paper's text prefers "the one with the smallest degree" — a load-balancing
 hint.  On mesh overlays (unlike the paper's figure-7 tree) that preference
 routes summaries *away* from hubs and strands knowledge in many small
 clusters, which lengthens the figure-10 BROCLI chains beyond anything
-consistent with the paper's own reported results.  The engine therefore
-supports both policies (:class:`TargetPolicy`); ``HIGHEST_DEGREE`` is the
+consistent with the paper's own reported results.  Each broker core
+therefore takes either policy (:class:`TargetPolicy`); ``HIGHEST_DEGREE`` is the
 default used by the experiments, ``SMALLEST_DEGREE`` is the literal paper
 text, and ``benchmarks/test_ablation_policy.py`` quantifies the gap.  See
 DESIGN.md section 5.3.
@@ -44,11 +44,14 @@ DESIGN.md section 5.3.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.broker.broker import SummaryBroker
 from repro.network.simulator import Network
 from repro.obs.tracing import NULL_TRACER
+
+if TYPE_CHECKING:
+    from repro.broker.core import BrokerCore
 
 __all__ = [
     "PROPAGATION_MODES",
@@ -79,9 +82,9 @@ def select_period_target(
     preferred by ``policy`` (smallest id on ties), or None when there is
     none.
 
-    Shared by the round-based :class:`PropagationEngine` and the live
-    :class:`~repro.runtime.server.BrokerRuntime`, so both substrates make
-    identical propagation-routing decisions.
+    :meth:`~repro.broker.core.BrokerCore.act` is its one caller, so the
+    simulator and the live runtime make identical propagation-routing
+    decisions.
     """
     own_degree = topology.degree(broker.broker_id)
     candidates = [
@@ -106,51 +109,43 @@ class PropagationEngine:
     def __init__(
         self,
         network: Network,
-        brokers: Dict[int, SummaryBroker],
-        policy: TargetPolicy = TargetPolicy.HIGHEST_DEGREE,
+        cores: Dict[int, "BrokerCore"],
         mode: str = "delta",
     ):
-        if set(brokers) != set(network.topology.brokers):
-            raise ValueError("need exactly one broker object per topology node")
+        if set(cores) != set(network.topology.brokers):
+            raise ValueError("need exactly one broker core per topology node")
         if mode not in PROPAGATION_MODES:
             raise ValueError(
                 f"unknown propagation mode {mode!r}; expected one of "
                 f"{PROPAGATION_MODES}"
             )
         self.network = network
-        self.brokers = brokers
-        self.policy = policy
+        self.cores = cores
         self.mode = mode
         self.periods_run = 0
-        #: True while :meth:`run_full_refresh` drives the current period —
-        #: refresh periods always send full :class:`SummaryMessage` frames
-        #: (they re-establish ground truth, so chaining is pointless).
-        self._refresh_active = False
 
     # -- the period ------------------------------------------------------------
 
-    def run_period(self) -> None:
-        """One full propagation period over the pending subscription batches."""
-        tracer = self.tracer
-        if not tracer.enabled:
-            self._run_period_body()
-            return
-        pending = sum(len(b.pending) for b in self.brokers.values())
-        with tracer.span(
+    def run_period(self, full: bool = False) -> None:
+        """One propagation period over the pending subscription batches;
+        with ``full`` (or in ``"full"`` mode) every frame is a complete
+        :class:`SummaryMessage`."""
+        pending = sum(len(core.broker.pending) for core in self.cores.values())
+        with self.tracer.span(
             "propagation_period", trace_id=self.periods_run + 1,
             pending_subscriptions=pending,
         ):
-            self._run_period_body()
+            self._run_period_body(full or self.mode == "full")
 
-    def _run_period_body(self) -> None:
+    def _run_period_body(self, full: bool) -> None:
         topology = self.network.topology
-        for broker in self.brokers.values():
-            broker.begin_period()
+        for core in self.cores.values():
+            core.broker.begin_period()
         # Every broker acts, which is what folds its pending batch.  Only a
         # one-broker overlay has degree 0: it acts with no one to send to.
         for iteration in range(topology.max_degree + 1):
             for broker_id in topology.brokers_by_degree(iteration):
-                self._act(self.brokers[broker_id])
+                self.cores[broker_id].act(full=full)
             # Deliver this iteration's messages before the next degree class
             # acts — receivers merge them into their open periods.
             if iteration:
@@ -159,31 +154,13 @@ class PropagationEngine:
         # straddle iteration boundaries; drain them before the period
         # closes so the replies still land inside it.  Each chain is at
         # most two hops, so the bound is generous and never loops.
-        for _ in range(2 * len(self.brokers) + 2):
+        for _ in range(2 * len(self.cores) + 2):
             if not self.network.has_pending:
                 break
             self.network.flush_iteration()
-        for broker in self.brokers.values():
-            broker.finish_period()
+        for core in self.cores.values():
+            core.finish_period()
         self.periods_run += 1
-
-    def _act(self, broker: SummaryBroker) -> None:
-        """Steps 1-2 of Algorithm 2 for one broker at its iteration."""
-        target = select_period_target(self.network.topology, broker, self.policy)
-        message = broker.act_period(
-            target, full=self.mode == "full" or self._refresh_active
-        )
-        if message is None:
-            return
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.record(
-                "summary_send", broker=broker.broker_id,
-                trace_id=self.periods_run + 1, target=target,
-                merged_brokers=len(broker.period.brokers),
-                ids=len(broker.period.adds.all_ids()),
-            )
-        self.network.send(broker.broker_id, target, message)
 
     # -- full refresh ---------------------------------------------------------------
 
@@ -195,21 +172,12 @@ class PropagationEngine:
         refresh period rebuilds every broker's summary from its raw store
         and replaces all remote knowledge.
         """
-        tracer = self.tracer
-        if tracer.enabled:
-            with tracer.span("full_refresh", trace_id=self.periods_run + 1):
-                self._run_full_refresh_body()
-            return
-        self._run_full_refresh_body()
-
-    def _run_full_refresh_body(self) -> None:
-        for broker in self.brokers.values():
-            # The refresh batch (full store contents — or the covering
-            # frontier under suppression) becomes this period's pending
-            # batch; the kept summary already holds it.
-            broker.reset_for_refresh()
-        self._refresh_active = True
-        try:
-            self.run_period()
-        finally:
-            self._refresh_active = False
+        with self.tracer.span("full_refresh", trace_id=self.periods_run + 1):
+            for core in self.cores.values():
+                # The refresh batch (full store contents — or the covering
+                # frontier under suppression) becomes this period's pending
+                # batch; the kept summary already holds it.
+                core.broker.reset_for_refresh()
+            # Refresh periods re-establish ground truth, so they send full
+            # summaries (chaining deltas onto them is pointless).
+            self.run_period(full=True)

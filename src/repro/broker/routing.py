@@ -300,7 +300,8 @@ class EventRouter:
                 )
                 tracer.record(
                     "route_hop", broker=own, trace_id=publish_id,
-                    brocli_in=len(brocli_in), brocli_out=len(brocli), **outcome,
+                    matched=len(matched), brocli_in=len(brocli_in),
+                    brocli_out=len(brocli), **outcome,
                 )
 
     def _notify_owners(

@@ -22,10 +22,16 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.broker.broker import SummaryBroker
+from repro.broker.core import (
+    DEFAULT_MAX_SUBSCRIPTIONS,
+    BrokerCore,
+    deployment_codec,
+    paranoid_auditor,
+)
 from repro.broker.propagation import PropagationEngine, TargetPolicy
 from repro.broker.routing import EventRouter
 from repro.model.events import Event
-from repro.model.ids import IdCodec, SubscriptionId
+from repro.model.ids import SubscriptionId
 from repro.model.schema import Schema
 from repro.model.subscriptions import Subscription
 from repro.network.latency import LatencyModel, TimedNetwork
@@ -33,18 +39,13 @@ from repro.network.metrics import NetworkMetrics
 from repro.network.reliable import ReliableNetwork, RetryPolicy
 from repro.network.simulator import Network
 from repro.network.topology import Topology
-from repro.obs.audit import SummaryAuditor, paranoid_enabled
+from repro.obs.audit import SummaryAuditor
 from repro.obs.metrics import MetricsRegistry, collect_system_metrics
 from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.summary.precision import Precision
-from repro.wire.codec import ValueWidth, WireCodec
-from repro.wire.messages import Message, MessageCodec
+from repro.wire.codec import ValueWidth
 
-__all__ = ["SummaryPubSub", "Delivery", "PublishResult"]
-
-#: Default ``c2`` capacity: the paper sizes ids for ~1M outstanding
-#: subscriptions per broker (20 bits).
-DEFAULT_MAX_SUBSCRIPTIONS = 1 << 20
+__all__ = ["SummaryPubSub", "SimulatedSystem", "Delivery", "PublishResult"]
 
 
 @dataclass(frozen=True)
@@ -77,20 +78,66 @@ class PublishResult:
         return {delivery.broker for delivery in self.deliveries}
 
 
-class _Dispatcher:
-    """Per-broker network handler: EVENT and NOTIFY frames go to the
-    router, period frames to the broker."""
+class SimulatedSystem:
+    """What every simulated system (this one, and the Siena and broadcast
+    comparators) keeps the same way: the deployment codec, the metrics of
+    both phases, the delivery log, and ``brokers`` each with a raw
+    ``store``."""
 
-    def __init__(self, system: "SummaryPubSub", broker_id: int):
-        self._system = system
-        self._broker_id = broker_id
+    def __init__(
+        self, topology: Topology, schema: Schema, max_subscriptions: int,
+        value_width: ValueWidth,
+    ):
+        self.topology = topology
+        self.schema = schema
+        self.message_codec = deployment_codec(
+            topology, schema, max_subscriptions, value_width
+        )
+        self.wire = self.message_codec.wire
+        self.id_codec = self.wire.id_codec
+        self.propagation_metrics = NetworkMetrics()
+        self.event_metrics = NetworkMetrics()
+        self._delivery_log: List[Delivery] = []
 
-    def receive(self, src: int, message: Message) -> None:
-        self._system._dispatch(self._broker_id, src, message)
+    def ground_truth_matches(self, event: Event) -> Set[Tuple[int, SubscriptionId]]:
+        """Every (broker, sid) whose raw subscription matches the event —
+        the oracle the routed deliveries must equal exactly."""
+        return {
+            (broker_id, sid)
+            for broker_id, broker in self.brokers.items()
+            for sid, subscription in broker.store.items()
+            if subscription.matches(event)
+        }
+
+    @property
+    def delivery_log(self) -> List[Delivery]:
+        return list(self._delivery_log)
+
+    def _publish_result(
+        self, before: Dict[str, int], mark: int, start: Optional[float] = None
+    ) -> PublishResult:
+        """One publish's cost since the ``before`` event-metrics snapshot,
+        its deliveries since log position ``mark``, and on a timed network
+        its latency since ``start``."""
+        after = self.event_metrics.snapshot()
+        deliveries = self._delivery_log[mark:]
+        stamps = [d.at for d in deliveries if d.at is not None]
+        return PublishResult(
+            deliveries=deliveries,
+            hops=after["hops"] - before["hops"],
+            messages=after["messages"] - before["messages"],
+            bytes_sent=after["bytes_sent"] - before["bytes_sent"],
+            latency_ms=max(stamps) - start if start is not None and stamps else None,
+        )
 
 
-class SummaryPubSub:
-    """The complete summary-centric pub/sub system on a simulated overlay."""
+class SummaryPubSub(SimulatedSystem):
+    """The complete summary-centric pub/sub system on a simulated overlay:
+    one :class:`~repro.broker.core.BrokerCore` per broker, attached to the
+    network as that broker's frame handler."""
+
+    #: What every core builds; extension systems name their own class.
+    broker_cls: type = SummaryBroker
 
     def __init__(
         self,
@@ -110,48 +157,23 @@ class SummaryPubSub:
         propagation_mode: str = "delta",
         suppress_covered: bool = True,
     ):
-        self.topology = topology
-        self.schema = schema
+        super().__init__(topology, schema, max_subscriptions, value_width)
         self.precision = precision
-        #: ``"delta"`` (default) ships incremental SummaryDeltaMessage
-        #: frames with compressed id sets; ``"full"`` is the original
-        #: per-period SummaryMessage path (the baseline the churn and
-        #: propagation-bytes experiments compare against).
-        self.propagation_mode = propagation_mode
-        #: Covered-id suppression (folded in from ``repro.ext.hybrid``):
-        #: subscriptions subsumed by an existing one never hit the wire.
-        self.suppress_covered = suppress_covered
         #: Per-broker publish-id LRU size (at-least-once dedup window).
         self.dedup_capacity = dedup_capacity
         #: Event-lifecycle tracer shared by router/propagation/brokers;
         #: :data:`~repro.obs.tracing.NULL_TRACER` (one attribute check per
         #: stage) unless a live :class:`~repro.obs.tracing.Tracer` is given.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Paranoid mode: defaults to the ``REPRO_PARANOID`` env switch.
-        #: When on, a :class:`~repro.obs.audit.SummaryAuditor` re-validates
-        #: summary/store invariants after every unsubscribe, propagation
-        #: period and full refresh (plus an O(#brokers) dedup-capacity
-        #: check per publish), and brokers cross-check compiled-vs-
-        #: reference match parity on every event.
-        self.paranoid = paranoid_enabled() if paranoid is None else bool(paranoid)
-        self.auditor: Optional[SummaryAuditor] = (
-            SummaryAuditor(schema) if self.paranoid else None
-        )
+        #: Paranoid mode (see :func:`~repro.broker.core.paranoid_auditor`)
+        #: also audits the whole system after every period and refresh.
+        self.auditor: Optional[SummaryAuditor] = paranoid_auditor(schema, paranoid)
+        self.paranoid = self.auditor is not None
         #: The deployment-wide ``c2`` capacity; every broker's store
         #: enforces it at subscribe time (:class:`~repro.summary
         #: .maintenance.IdSpaceExhausted`) so overflow can never surface
         #: as a codec error deep inside a propagation period.
         self.max_subscriptions = max_subscriptions
-        self.id_codec = IdCodec(
-            num_brokers=topology.num_brokers,
-            max_subscriptions=max_subscriptions,
-            num_attributes=len(schema),
-        )
-        self.wire = WireCodec(schema, self.id_codec, value_width)
-        self.message_codec = MessageCodec(self.wire)
-
-        self.propagation_metrics = NetworkMetrics()
-        self.event_metrics = NetworkMetrics()
         if latency is not None and network_cls is not None:
             raise ValueError("pass either latency or network_cls, not both")
         if latency is not None:
@@ -178,77 +200,68 @@ class SummaryPubSub:
                 )
             self.network = ReliableNetwork.wrap(self.network, policy=reliability)
 
-        self._delivery_log: List[Delivery] = []
         self._delivery_listeners: List = []
+        #: Every broker, filled in as each core joins the router.
         self.brokers: Dict[int, SummaryBroker] = {}
+        self.cores: Dict[int, BrokerCore] = {}
+        self._router = EventRouter(self.network, self.brokers)
         for broker_id in topology.brokers:
-            broker = self._create_broker(broker_id)
-            broker.tracer = self.tracer
-            broker.paranoid = self.paranoid
-            self.brokers[broker_id] = broker
-            self.network.attach(broker_id, _Dispatcher(self, broker_id))
+            core = self.cores[broker_id] = BrokerCore(
+                broker_id, schema, self.network, self._router,
+                precision=precision, max_subscriptions=max_subscriptions,
+                dedup_capacity=dedup_capacity, suppress_covered=suppress_covered,
+                on_delivery=self._record_delivery, policy=propagation_policy,
+                tracer=self.tracer, auditor=self.auditor, broker_cls=self.broker_cls,
+            )
+            self.network.attach(broker_id, core)
 
         self.propagation = PropagationEngine(
-            self.network, self.brokers, policy=propagation_policy,
-            mode=propagation_mode,
+            self.network, self.cores, mode=propagation_mode
         )
-        self.router = EventRouter(self.network, self.brokers)
         self.propagation.tracer = self.tracer
-        self.router.tracer = self.tracer
-        self._wire_failure_listener()
-
-    def _wire_failure_listener(self) -> None:
-        """Let the router re-route searches the reliable transport gave up
-        on.  The hook is duck-typed so plain/lossy/timed networks (which
-        never report failures) need no special casing."""
+        # A reliable transport reports the sends it gave up on; the router
+        # re-routes those searches (duck-typed: plain, lossy and timed
+        # networks never report failures).
         add_listener = getattr(self.network, "add_failure_listener", None)
         if add_listener is not None:
-            add_listener(self._on_send_failure)
+            add_listener(
+                lambda src, dst, frame: self.router.handle_send_failure(src, dst, frame)
+            )
 
-    def _on_send_failure(self, src: int, dst: int, message: Message) -> None:
-        # Indirect through self.router so enable_locality/-virtual_degrees
-        # router swaps keep working without re-registering the listener.
-        self.router.handle_send_failure(src, dst, message)
+    @property
+    def router(self) -> EventRouter:
+        """The one Algorithm-3 router of the system."""
+        return self._router
 
-    def _create_broker(self, broker_id: int) -> SummaryBroker:
-        """Broker factory — extension systems override this hook."""
-        return SummaryBroker(
-            broker_id,
-            self.schema,
-            self.precision,
-            on_delivery=self._record_delivery,
-            dedup_capacity=self.dedup_capacity,
-            max_subscriptions=self.max_subscriptions,
-            suppress_covered=self.suppress_covered,
-        )
+    @router.setter
+    def router(self, router: EventRouter) -> None:
+        """Swap the router (as :mod:`repro.ext.locality` does): every core
+        routes through the new one, traced like the old."""
+        router.tracer = self.tracer
+        self._router = router
+        for core in self.cores.values():
+            core.router = router
 
     # -- client operations -------------------------------------------------------
 
     def subscribe(self, broker_id: int, subscription: Subscription) -> SubscriptionId:
-        return self.brokers[broker_id].subscribe(subscription)
+        return self.cores[broker_id].subscribe(subscription)
 
     def unsubscribe(self, broker_id: int, sid: SubscriptionId) -> bool:
-        removed = self.brokers[broker_id].unsubscribe(sid)
-        if removed and self.auditor is not None:
-            # Unsubscription is exactly where summary/store divergence
-            # starts (stale kept rows, stale period deltas) — re-validate
-            # the affected broker while the trail is short.
-            self.auditor.assert_clean(self.brokers[broker_id])
-        return removed
+        return self.cores[broker_id].unsubscribe(sid)
 
     def run_propagation_period(self) -> Dict[str, int]:
         """Propagate pending batches (Algorithm 2); returns the phase's
         cumulative metric snapshot."""
-        self.network.metrics = self.propagation_metrics
-        self.propagation.run_period()
-        if self.auditor is not None:
-            self.auditor.assert_clean(self)
-        return self.propagation_metrics.snapshot()
+        return self._propagate(self.propagation.run_period)
 
     def run_full_refresh(self) -> Dict[str, int]:
         """Rebuild and re-propagate complete summaries (post-churn)."""
+        return self._propagate(self.propagation.run_full_refresh)
+
+    def _propagate(self, period) -> Dict[str, int]:
         self.network.metrics = self.propagation_metrics
-        self.propagation.run_full_refresh()
+        period()
         if self.auditor is not None:
             self.auditor.assert_clean(self)
         return self.propagation_metrics.snapshot()
@@ -262,36 +275,20 @@ class SummaryPubSub:
         them to completion; :meth:`publish` is the burst of one.
 
         The ingress broker's summary check runs once over the whole burst
-        (:meth:`EventRouter.publish_batch` →
+        (:meth:`BrokerCore.publish` → :meth:`EventRouter.publish_batch` →
         :meth:`~repro.broker.broker.SummaryBroker.match_kept_many`), as in
         the live runtime's dispatch loop; routing decisions, notifications
         and deliveries are per-event identical to publishing each event on
         its own (see ``tests/broker/test_batch_differential.py``).  Returns
         one aggregate :class:`PublishResult` over the burst.
         """
-        for event in events:
-            self.schema.validate_event(event)
         self.network.metrics = self.event_metrics
         before = self.event_metrics.snapshot()
         mark = len(self._delivery_log)
         start = getattr(self.network, "now", None)
-        self.event_metrics.record_match_batch(len(events))
-        self.router.publish_batch(broker_id, events)
+        self.cores[broker_id].publish(events)
         self.network.run()
-        if self.auditor is not None:
-            # Publishing never mutates summaries; the cheap O(#brokers)
-            # dedup-capacity check is the only invariant it can break.
-            self.auditor.audit_dedup(self)
-        after = self.event_metrics.snapshot()
-        deliveries = self._delivery_log[mark:]
-        stamps = [d.at for d in deliveries if d.at is not None]
-        return PublishResult(
-            deliveries=deliveries,
-            hops=after["hops"] - before["hops"],
-            messages=after["messages"] - before["messages"],
-            bytes_sent=after["bytes_sent"] - before["bytes_sent"],
-            latency_ms=max(stamps) - start if start is not None and stamps else None,
-        )
+        return self._publish_result(before, mark, start)
 
     # -- measurement helpers ------------------------------------------------------
 
@@ -319,22 +316,6 @@ class SummaryPubSub:
         across all brokers — 0 when ``suppress_covered`` is off."""
         return sum(broker.suppressed for broker in self.brokers.values())
 
-    def ground_truth_matches(self, event: Event) -> Set[Tuple[int, SubscriptionId]]:
-        """Every (broker, sid) whose raw subscription matches the event —
-        the oracle the routed deliveries must equal exactly."""
-        matches: Set[Tuple[int, SubscriptionId]] = set()
-        for broker_id, broker in self.brokers.items():
-            for sid, subscription in broker.store.items():
-                if subscription.matches(event):
-                    matches.add((broker_id, sid))
-        return matches
-
-    @property
-    def delivery_log(self) -> List[Delivery]:
-        return list(self._delivery_log)
-
-    # -- internals -------------------------------------------------------------------
-
     # -- delivery fan-out -----------------------------------------------------------
 
     def add_delivery_listener(self, listener) -> None:
@@ -354,13 +335,6 @@ class SummaryPubSub:
             self._delivery_log.append(delivery)
             for listener in self._delivery_listeners:
                 listener(delivery)
-
-    def _dispatch(self, dst: int, src: int, message: Message) -> None:
-        if self.router.handle_message(dst, src, message):
-            return
-        reply = self.brokers[dst].receive_period_frame(src, message)
-        if reply is not None:
-            self.network.send(dst, src, reply)
 
     def __repr__(self) -> str:
         total = sum(len(broker.store) for broker in self.brokers.values())

@@ -1,5 +1,7 @@
-"""Section-6 extensions: advertisements, virtual degrees, dynamic
-schemata, and hybrid summarization+subsumption."""
+"""Section-6 extensions: advertisements, virtual degrees, locality-aware
+routing and dynamic schemata.  Hybrid summarization+subsumption is the
+covered-id suppression every :class:`~repro.broker.broker.SummaryBroker`
+runs by default."""
 
 from repro.ext.advertisements import (
     Advertisement,
@@ -10,7 +12,6 @@ from repro.ext.advertisements import (
     subscription_intersects_advertisement,
 )
 from repro.ext.dynamic_schema import DynamicSchema, VersionedIdCodec
-from repro.ext.hybrid import HybridBroker, HybridPubSub
 from repro.ext.locality import LocalityRouter, enable_locality
 from repro.ext.virtual_degrees import (
     VirtualDegreeRouter,
@@ -24,8 +25,6 @@ __all__ = [
     "AdvertisingBroker",
     "AdvertisingPubSub",
     "DynamicSchema",
-    "HybridBroker",
-    "HybridPubSub",
     "LocalityRouter",
     "VersionedIdCodec",
     "VirtualDegreeRouter",

@@ -32,7 +32,7 @@ semantics advertisements define.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.broker.broker import SummaryBroker
 from repro.broker.system import PublishResult, SummaryPubSub
@@ -111,7 +111,7 @@ class AdvertisingBroker(SummaryBroker):
         # Advertisement filtering is its own suppression mechanism (the
         # dormant set); the covering frontier would sit unused beside it
         # and trip the suppression-accounting audit.
-        kwargs.setdefault("suppress_covered", False)
+        kwargs["suppress_covered"] = False
         super().__init__(*args, **kwargs)
         #: All advertisements known here, keyed by their flooded id.
         self.advertisements: Dict[SubscriptionId, Advertisement] = {}
@@ -150,6 +150,14 @@ class AdvertisingBroker(SummaryBroker):
             self.pending.append((sid, subscription))
         return promoted
 
+    def receive_extension_frame(self, src: int, message: Message) -> Optional[Message]:
+        """A flooded ADVERTISEMENT from ``src``: register each entry."""
+        if not isinstance(message, AdvertisementMessage):
+            return super().receive_extension_frame(src, message)
+        for adv_id, advertisement in message.entries:
+            self.register_advertisement(adv_id, advertisement, local=False)
+        return None
+
     def event_is_advertised(self, event: Event) -> bool:
         """Whether the event conforms to some local advertisement."""
         return any(
@@ -176,20 +184,15 @@ class AdvertisingBroker(SummaryBroker):
 
 
 class AdvertisingPubSub(SummaryPubSub):
-    """The summary system with advertisement-filtered propagation."""
+    """The summary system with advertisement-filtered propagation; its
+    brokers take flooded ADVERTISEMENT frames through the same
+    :meth:`~repro.broker.core.BrokerCore.receive` as every other frame."""
+
+    broker_cls = AdvertisingBroker
 
     def __init__(self, *args, enforce: bool = True, **kwargs):
         self.enforce = enforce
         super().__init__(*args, **kwargs)
-
-    def _create_broker(self, broker_id: int) -> SummaryBroker:
-        return AdvertisingBroker(
-            broker_id,
-            self.schema,
-            self.precision,
-            on_delivery=self._record_delivery,
-            max_subscriptions=self.max_subscriptions,
-        )
 
     # -- producer operations ------------------------------------------------------
 
@@ -209,14 +212,16 @@ class AdvertisingPubSub(SummaryPubSub):
         self.network.run()
         return adv_id
 
-    def publish(self, broker_id: int, event: Event) -> PublishResult:
-        if self.enforce:
-            broker: AdvertisingBroker = self.brokers[broker_id]  # type: ignore[assignment]
-            if not broker.event_is_advertised(event):
+    def publish_batch(self, broker_id: int, events: List[Event]) -> PublishResult:
+        """Publish a burst (``publish`` is the burst of one), refusing any
+        unadvertised event under ``enforce`` before anything is routed."""
+        broker: AdvertisingBroker = self.brokers[broker_id]  # type: ignore[assignment]
+        for event in events:
+            if self.enforce and not broker.event_is_advertised(event):
                 raise AdvertisementError(
                     f"broker {broker_id} has no advertisement covering {event!r}"
                 )
-        return super().publish(broker_id, event)
+        return super().publish_batch(broker_id, events)
 
     # -- measurement ---------------------------------------------------------------
 
@@ -225,13 +230,3 @@ class AdvertisingPubSub(SummaryPubSub):
             len(broker.dormant)  # type: ignore[attr-defined]
             for broker in self.brokers.values()
         )
-
-    # -- dispatch ---------------------------------------------------------------------
-
-    def _dispatch(self, dst: int, src: int, message: Message) -> None:
-        if isinstance(message, AdvertisementMessage):
-            broker: AdvertisingBroker = self.brokers[dst]  # type: ignore[assignment]
-            for adv_id, advertisement in message.entries:
-                broker.register_advertisement(adv_id, advertisement, local=False)
-            return
-        super()._dispatch(dst, src, message)

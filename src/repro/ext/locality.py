@@ -53,5 +53,4 @@ class LocalityRouter(EventRouter):
 def enable_locality(system: SummaryPubSub, federation: Federation) -> SummaryPubSub:
     """Swap a system's router for the locality-aware variant, in place."""
     system.router = LocalityRouter(system.network, system.brokers, federation)
-    system.router.tracer = system.tracer  # keep the replacement traced
     return system

@@ -69,7 +69,6 @@ def _rotation(key: bytes, broker: int) -> int:
 def enable_virtual_degrees(system: SummaryPubSub, tolerance: int = 1) -> SummaryPubSub:
     """Swap a system's router for the virtual-degree variant, in place."""
     system.router = VirtualDegreeRouter(system.network, system.brokers, tolerance)
-    system.router.tracer = system.tracer  # keep the replacement traced
     return system
 
 

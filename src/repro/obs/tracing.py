@@ -11,8 +11,9 @@ span kind             emitted by
                       one injected event, ``trace_id = publish_id``, from
                       minting to the end of its burst's ingress hop
 ``route_hop``         one Algorithm-3 hop of one event at one broker (zero
-                      duration; fields: ``brocli_in``, ``brocli_out``, and
-                      ``forwarded_to`` or ``search_complete``)
+                      duration; fields: ``matched``, ``brocli_in``,
+                      ``brocli_out``, and ``forwarded_to`` or
+                      ``search_complete``)
 ``summary_match``     the kept-summary match of one burst of events at one
                       broker (fields: ``burst``, ``matched``; ``trace_id`` is
                       the burst's first publish id)
@@ -24,7 +25,8 @@ span kind             emitted by
                       consumers in one call (zero duration)
 ``propagation_period``  one full Algorithm-2 period
 ``summary_send``      one period frame sent inside a period, mostly a
-                      SummaryDeltaMessage (zero duration)
+                      SummaryDeltaMessage (zero duration; fields:
+                      ``target``, ``merged_brokers``, ``ids``)
 ``delta_rejected``    a SummaryDeltaMessage that did not chain on, answered
                       with a SummaryRequestMessage (zero duration;
                       ``trace_id`` is the frame's generation)

@@ -12,9 +12,9 @@ It adds the coordination the paper's round-based algorithms assume:
 * :meth:`run_propagation_period` — Algorithm 2 exactly: brokers act in
   ascending degree order with a quiesce barrier between iterations (the
   live analogue of the simulator's ``flush_iteration``), then every
-  broker finishes its period.  Same code path
-  (:func:`~repro.broker.propagation.select_period_target`) as the
-  simulator, so both substrates pick identical targets.
+  broker finishes its period.  Each act is
+  :meth:`~repro.broker.core.BrokerCore.act`, as in the simulator, so
+  both substrates pick identical targets.
 * :meth:`settle` — producer flushes + quiesce + subscriber flushes: after
   it returns, every published event has fully routed and every resulting
   notification is in the subscribers' ``deliveries`` lists.
@@ -32,11 +32,16 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.broker.persistence import SnapshotCodec, snapshot_path
+from repro.broker.persistence import (
+    SnapshotCodec,
+    save_broker,
+    snapshot_files,
+    snapshot_path,
+)
 from repro.broker.propagation import TargetPolicy
 from repro.model.events import Event
 from repro.model.ids import SubscriptionId
-from repro.model.schema import Schema, stock_schema
+from repro.model.schema import Schema
 from repro.network.metrics import NetworkMetrics
 from repro.network.topology import Topology
 from repro.runtime.client import ProducerSession, SubscriberSession
@@ -155,27 +160,11 @@ class LocalCluster:
         return dict(self.addresses)
 
     def _restore(self, source: Path) -> None:
-        """Load one drained snapshot per broker (same stray/missing rules
-        as :func:`~repro.broker.persistence.load_system`)."""
-        expected = {snapshot_path(source, b).name for b in self.topology.brokers}
-        strays = sorted(
-            p.name for p in source.glob("broker-*.snap") if p.name not in expected
-        )
-        if strays:
-            raise ValueError(
-                f"snapshot directory {source} holds snapshots for brokers not "
-                f"in this topology ({', '.join(strays)}); refusing to "
-                f"half-restore a mismatched deployment"
-            )
-        for broker_id, runtime in sorted(self.runtimes.items()):
-            path = snapshot_path(source, broker_id)
-            if not path.exists():
-                raise FileNotFoundError(
-                    f"missing snapshot for broker {broker_id}: {path}"
-                )
-            SnapshotCodec(runtime.wire).restore_broker(
-                path.read_bytes(), runtime.broker
-            )
+        """Load one drained snapshot per broker; the directory must hold
+        exactly those (:func:`~repro.broker.persistence.snapshot_files`)."""
+        for broker_id, path in snapshot_files(source, self.topology.brokers).items():
+            runtime = self.runtimes[broker_id]
+            SnapshotCodec(runtime.wire).restore_broker(path.read_bytes(), runtime.broker)
 
     async def stop(self, drain: bool = True) -> List[Path]:
         """Close client sessions, then shut every broker down (with
@@ -243,8 +232,6 @@ class LocalCluster:
     async def snapshot_broker(self, broker_id: int, directory=None) -> Path:
         """Persist one live broker's state (the chaos harness' stand-in
         for a periodic snapshotter having just run before a crash)."""
-        from repro.broker.persistence import save_broker
-
         target = Path(directory) if directory is not None else self.snapshot_dir
         if target is None:
             raise ValueError("no snapshot directory (pass one or set snapshot_dir)")

@@ -7,17 +7,19 @@ The first frame of a connection is a :class:`~repro.wire.messages
 
 * ``ROLE_PEER`` — another broker.  Subsequent frames are the same
   SUMMARY_DELTA / SUMMARY / SUMMARY_REQUEST / EVENT / NOTIFY traffic the
-  simulator moves, dispatched through the *same* code: EVENT and NOTIFY
-  go to :class:`~repro.broker.routing.EventRouter`, the period frames to
-  :meth:`~repro.broker.broker.SummaryBroker.receive_period_frame` (delta
-  chaining, rejection and the resync reply), and each period's target
-  comes from :func:`~repro.broker.propagation.select_period_target`.  So
-  the live system makes identical routing and propagation decisions to
-  the simulated one; the runtime only moves the frames.
+  simulator moves, and they reach the same code: the runtime's
+  :class:`~repro.broker.core.BrokerCore`, the object the simulator
+  attaches to its network for each broker.  Its ``receive`` hands EVENT
+  and NOTIFY to :class:`~repro.broker.routing.EventRouter` and the period
+  frames to the broker (delta chaining, rejection and the resync reply);
+  its ``act`` picks each period's target and builds the frame.  So the
+  live system makes identical routing and propagation decisions to the
+  simulated one; the runtime only moves the frames.  A contiguous run of
+  EVENT frames goes to the router as one batch.
 * ``ROLE_PRODUCER`` / ``ROLE_SUBSCRIBER`` — client sessions publishing
   events and registering subscriptions (SUB/PUB/NOTIFY frames).
 
-**The outbox seam.**  Engine code is synchronous and talks to a network
+**The outbox seam.**  The core is synchronous and talks to a network
 object with a blocking ``send``.  :class:`RuntimeNetwork` satisfies that
 interface by *buffering*: ``send`` appends to an outbox.  After every
 synchronously-handled frame the runtime drains the outbox onto per-peer
@@ -41,11 +43,9 @@ simulator's synchronous delivery.
 
 **Propagation periods.**  The runtime keeps a period permanently *open*
 (the broker's :class:`~repro.broker.broker.Period`, accepting peer merges
-at any time).  :meth:`period_act` picks the target with the shared policy
-and lets :meth:`~repro.broker.broker.SummaryBroker.act_period` fold the
-pending batch and build the broker's single Algorithm-2 frame;
-:meth:`period_close` finishes the period and opens the next — the same
-transitions the simulator's
+at any time).  :meth:`period_act` is the core's ``act`` (target, fold,
+frame, send) plus a pump; :meth:`period_close` finishes the period and
+opens the next — the same transitions the simulator's
 :class:`~repro.broker.propagation.PropagationEngine` steps.  A
 :class:`~repro.runtime.cluster.LocalCluster` sequences acts in degree
 order with quiesce barriers between iterations — byte-identical to the
@@ -72,31 +72,33 @@ import logging
 import signal
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple, Union
 
-from repro.broker.broker import SummaryBroker
+from repro.broker.core import (
+    DEFAULT_MAX_SUBSCRIPTIONS,
+    BrokerCore,
+    deployment_codec,
+    paranoid_auditor,
+)
 from repro.broker.persistence import allocate_epoch, save_broker
-from repro.broker.propagation import TargetPolicy, select_period_target
+from repro.broker.propagation import TargetPolicy
 from repro.broker.routing import EventRouter
 from repro.model.events import Event
-from repro.model.ids import IdCodec, SubscriptionId
+from repro.model.ids import SubscriptionId
 from repro.model.schema import Schema, SchemaError, stock_schema
 from repro.network.backbone import named_topology
 from repro.network.metrics import NetworkMetrics
 from repro.network.topology import Topology
-from repro.obs.audit import SummaryAuditor, paranoid_enabled
+from repro.obs.audit import SummaryAuditor
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import NULL_TRACER
 from repro.runtime.framing import MAX_FRAME_BYTES, FrameConnection
 from repro.summary.maintenance import IdSpaceExhausted
 from repro.summary.precision import Precision
-from repro.wire.codec import CodecError, ValueWidth, WireCodec
+from repro.wire.codec import CodecError, ValueWidth
 from repro.wire.messages import (
     EventMessage,
     HelloMessage,
     Message,
-    MessageCodec,
     NotifyMessage,
     PingMessage,
     PongMessage,
@@ -112,6 +114,7 @@ __all__ = [
     "BrokerRuntime",
     "ClientSession",
     "DEFAULT_BATCH_FRAMES",
+    "DEFAULT_MAX_SUBSCRIPTIONS",
     "DEFAULT_QUEUE_FRAMES",
     "PeerLink",
     "RuntimeNetwork",
@@ -135,35 +138,26 @@ DEFAULT_QUEUE_FRAMES = 256
 #: bound: one batch is one uninterruptible slice of event-loop time.
 DEFAULT_BATCH_FRAMES = 128
 
-#: Default ``c2`` capacity (mirrors the simulator facade).
-DEFAULT_MAX_SUBSCRIPTIONS = 1 << 20
-
 
 class RuntimeNetwork:
-    """The network object the engines see: buffer sends.
+    """The network object the core sees: buffer sends.
 
-    Engine code (:class:`EventRouter`, the shared propagation policy) only
-    needs ``topology`` and ``send(src, dst, message)`` from a network; the
-    engines never drive delivery themselves.  Here ``send`` appends
+    :class:`~repro.broker.core.BrokerCore` and its router only need
+    ``topology``, ``metrics`` and ``send(src, dst, message)`` from a
+    network; they never drive delivery themselves.  Here ``send`` appends
     ``(dst, message)`` to :attr:`outbox`; the runtime drains the outbox
     onto real TCP links immediately after each synchronous dispatch, and
-    the link writer meters what it actually wrote.  Delivery happens when
-    the frames arrive.
+    the link writer meters what it actually wrote into :attr:`metrics`.
+    Delivery happens when the frames arrive.
     """
 
     def __init__(self, topology: Topology):
         self.topology = topology
+        self.metrics = NetworkMetrics()
         self.outbox: List[Tuple[int, Message]] = []
 
     def send(self, src: int, dst: int, message: Message) -> None:
         self.outbox.append((dst, message))
-
-    def take_outbox(self) -> List[Tuple[int, Message]]:
-        """Atomically claim everything buffered so far (no awaits here —
-        callers snapshot before their first suspension point)."""
-        batch = self.outbox[:]
-        self.outbox.clear()
-        return batch
 
 
 class PeerLink:
@@ -382,7 +376,7 @@ def _event_runs(
 
 
 class BrokerRuntime:
-    """One live broker: TCP server + engines + outbox pump + drain."""
+    """One live broker: TCP server + broker core + outbox pump + drain."""
 
     def __init__(
         self,
@@ -410,8 +404,6 @@ class BrokerRuntime:
             raise ValueError(f"broker {broker_id} is not in the topology")
         self.broker_id = broker_id
         self.topology = topology
-        self.schema = schema
-        self.policy = propagation_policy
         self.period_interval = period_interval
         self.queue_frames = queue_frames
         if batch_frames < 1:
@@ -421,42 +413,26 @@ class BrokerRuntime:
         self.snapshot_dir = Path(snapshot_dir) if snapshot_dir is not None else None
         self.host = host
         self.max_frame_bytes = max_frame_bytes
-        #: Live systems default to F64 wire values: unlike the simulator's
-        #: bandwidth-accounting F32 default, live frames *are* the system
-        #: state, and F32 rounding of range bounds would change matching.
-        self.value_width = value_width
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.paranoid = paranoid_enabled() if paranoid is None else bool(paranoid)
-        self.auditor: Optional[SummaryAuditor] = (
-            SummaryAuditor(schema) if self.paranoid else None
+        self.auditor: Optional[SummaryAuditor] = paranoid_auditor(schema, paranoid)
+        # Live systems default to F64 wire values: unlike the simulator's
+        # bandwidth-accounting F32 default, live frames *are* the system
+        # state, and F32 rounding of range bounds would change matching.
+        self.message_codec = deployment_codec(
+            topology, schema, max_subscriptions, value_width
         )
-
-        self.id_codec = IdCodec(
-            num_brokers=topology.num_brokers,
-            max_subscriptions=max_subscriptions,
-            num_attributes=len(schema),
-        )
-        self.wire = WireCodec(schema, self.id_codec, value_width)
-        self.message_codec = MessageCodec(self.wire)
-
-        self.metrics = NetworkMetrics()
+        self.wire = self.message_codec.wire
         self.network = RuntimeNetwork(topology)
-
-        self.broker = SummaryBroker(
-            broker_id,
-            schema,
-            precision,
-            on_delivery=self._on_delivery,
-            dedup_capacity=dedup_capacity,
-            max_subscriptions=max_subscriptions,
-            suppress_covered=suppress_covered,
+        self.metrics = self.network.metrics
+        #: This process's Algorithm-3 router; its broker map holds one broker.
+        self.router = EventRouter(self.network, {}, epoch=epoch)
+        self.core = BrokerCore(
+            broker_id, schema, self.network, self.router,
+            precision=precision, max_subscriptions=max_subscriptions,
+            dedup_capacity=dedup_capacity, suppress_covered=suppress_covered,
+            on_delivery=self._on_delivery, policy=propagation_policy,
+            tracer=tracer, auditor=self.auditor,
         )
-        self.broker.tracer = self.tracer
-        self.broker.paranoid = self.paranoid
-        self.router = EventRouter(self.network, {broker_id: self.broker}, epoch=epoch)
-        self.router.tracer = self.tracer
-        #: ``audit_dedup`` expects a system-shaped object with ``brokers``.
-        self._audit_scope = SimpleNamespace(brokers={broker_id: self.broker})
+        self.broker = self.core.broker
 
         self._peer_addresses: Dict[int, Tuple[str, int]] = {}
         self._links: Dict[int, PeerLink] = {}
@@ -469,7 +445,6 @@ class BrokerRuntime:
         self._server: Optional[asyncio.AbstractServer] = None
         self._period_task: Optional[asyncio.Task] = None
         self.port: Optional[int] = None
-        self.periods_run = 0
 
         # -- quiesce arithmetic (LocalCluster barriers) --
         #: broker-to-broker frames put on outbound peer queues.
@@ -483,6 +458,11 @@ class BrokerRuntime:
         self._snapshot_written: Optional[Path] = None
         self.terminated = asyncio.Event()
         self.broker.begin_period()
+
+    @property
+    def policy(self) -> TargetPolicy:
+        """The Algorithm-2 target policy of this broker's core."""
+        return self.core.policy
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -535,13 +515,7 @@ class BrokerRuntime:
             await self.terminated.wait()
             return self._snapshot_written
         self._shutdown_started = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self._period_task is not None:
-            self._period_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._period_task
+        await self._stop_listening()
         if drain:
             await self._settle_inbound()
             for link in list(self._links.values()):
@@ -553,17 +527,7 @@ class BrokerRuntime:
                 self._snapshot_written = save_broker(
                     self.broker, self.snapshot_dir, self.wire
                 )
-        readers = list(self._reader_tasks)
-        for task in readers:
-            task.cancel()
-        if readers:
-            await asyncio.gather(*readers, return_exceptions=True)
-        for link in list(self._links.values()):
-            await link.close()
-        for session in list(self._sessions):
-            await session.close()
-        self._sessions.clear()
-        self.terminated.set()
+        await self._close_connections()
         return self._snapshot_written
 
     async def kill(self) -> None:
@@ -580,26 +544,39 @@ class BrokerRuntime:
             await self.terminated.wait()
             return
         self._shutdown_started = True
+        await self._stop_listening(crash=True)
+        await self._close_connections(crash=True)
+
+    async def _stop_listening(self, crash: bool = False) -> None:
+        """Close the listener (a ``crash`` ignores its connection errors)
+        and stop the period timer."""
         if self._server is not None:
             self._server.close()
-            with contextlib.suppress(ConnectionError, OSError):
+            with contextlib.suppress(*((ConnectionError, OSError) if crash else ())):
                 await self._server.wait_closed()
         if self._period_task is not None:
             self._period_task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await self._period_task
+
+    async def _close_connections(self, crash: bool = False) -> None:
+        """Cancel every reader, close every lane and session, and mark the
+        broker done.  A ``crash`` counts what the lanes still held as
+        dropped and ignores a session's connection errors."""
         readers = list(self._reader_tasks)
         for task in readers:
             task.cancel()
         if readers:
             await asyncio.gather(*readers, return_exceptions=True)
         for link in list(self._links.values()):
-            # Claimed-but-unwritten frames died with the writer task; the
-            # queue backlog never even reached a socket.
-            self.frames_dropped += link.queue.qsize() + link.inflight
+            if crash:
+                # Claimed-but-unwritten frames died with the writer task;
+                # the queue backlog never even reached a socket.
+                self.frames_dropped += link.queue.qsize() + link.inflight
             await link.close()
+        errors = (ConnectionError, OSError) if crash else ()
         for session in list(self._sessions):
-            with contextlib.suppress(ConnectionError, OSError):
+            with contextlib.suppress(*errors):
                 await session.close()
         self._sessions.clear()
         self.terminated.set()
@@ -624,9 +601,9 @@ class BrokerRuntime:
         backpressure), newly buffered sends belong to whichever handler
         produced them and will be pumped by *its* call.
         """
-        peer_batch = self.network.take_outbox()
-        client_batch = self._client_outbox[:]
-        self._client_outbox.clear()
+        network = self.network
+        peer_batch, network.outbox = network.outbox, []
+        client_batch, self._client_outbox = self._client_outbox, []
         for dst, message in peer_batch:
             if dst not in self._peer_addresses:
                 # Standalone runtime (tests, single-broker tooling): the
@@ -719,23 +696,12 @@ class BrokerRuntime:
                         [(m.event, m.brocli, m.publish_id) for m in run]
                     )
                 else:
-                    self._dispatch_peer(peer_id, run)
+                    self.core.receive(peer_id, run)
             await self._pump()
             # Counted only after the dispatch *and* the pump: a processed
             # frame's downstream sends are already on their queues, so
             # cluster-wide enqueued == processed means true quiescence.
             self.frames_processed += len(burst)
-
-    def _dispatch_peer(self, src: int, message: Message) -> None:
-        """Same engines, same decisions as the simulator's dispatch for one
-        frame outside an EVENT run: the router takes NOTIFY frames, the
-        broker the period frames (a reply rides the outbox and is pumped
-        with this burst)."""
-        if self.router.handle_message(self.broker_id, src, message):
-            return
-        reply = self.broker.receive_period_frame(src, message)
-        if reply is not None:
-            self.network.send(self.broker_id, src, reply)
 
     async def _serve_client(self, conn: FrameConnection, hello: HelloMessage) -> None:
         session = ClientSession(self, conn, hello.role, hello.identity)
@@ -747,7 +713,8 @@ class BrokerRuntime:
                     return
                 for run in _event_runs(burst):
                     if isinstance(run, list):
-                        await self._handle_publish_burst([m.event for m in run])
+                        self._publish_events([m.event for m in run])
+                        await self._pump()
                     else:
                         await self._handle_client_frame(session, run)
         finally:
@@ -757,17 +724,6 @@ class BrokerRuntime:
             for sid in session.sids:
                 self._sid_sessions.pop(sid, None)
             await session.close()
-
-    async def _handle_publish_burst(self, events: List) -> None:
-        """PUB burst: the ingress broker mints the real publish ids and
-        runs Algorithm 3's first hop for the whole burst in one batched
-        summary check; forwards ride the pump."""
-        for event in events:
-            self.schema.validate_event(event)
-        self._publish_events(events)
-        if self.auditor is not None:
-            self.auditor.audit_dedup(self._audit_scope)
-        await self._pump()
 
     # The two batch entry points stay separate methods: the perf ledger's
     # traced broker counts events per batch by wrapping them by name.
@@ -780,15 +736,17 @@ class BrokerRuntime:
         self.router.process_batch(self.broker, items)
 
     def _publish_events(self, events: List[Event]) -> None:
-        """Mint ids and run the ingress hop for one validated PUB burst."""
-        self.metrics.record_match_batch(len(events))
-        self.router.publish_batch(self.broker_id, events)
+        """One PUB burst through :meth:`BrokerCore.publish`: the ingress
+        broker mints the real publish ids and runs Algorithm 3's first hop
+        for the whole burst in one batched summary check; forwards ride
+        the next pump."""
+        self.core.publish(events)
 
     async def _handle_client_frame(self, session: ClientSession, message: Message) -> None:
         """One SUB/UNSUB/PING frame (PUB frames arrive as EVENT runs)."""
         if isinstance(message, SubscribeMessage):
             try:
-                sid = self.broker.subscribe(message.subscription)
+                sid = self.core.subscribe(message.subscription)
             except (IdSpaceExhausted, SchemaError, ValueError) as exc:
                 reply = SubAckMessage(
                     request_id=message.request_id, sid=None,
@@ -800,11 +758,9 @@ class BrokerRuntime:
                 reply = SubAckMessage(request_id=message.request_id, sid=sid)
             await session.enqueue(reply)
         elif isinstance(message, UnsubscribeMessage):
-            if self.broker.unsubscribe(message.sid):
+            if self.core.unsubscribe(message.sid):
                 session.sids.discard(message.sid)
                 self._sid_sessions.pop(message.sid, None)
-                if self.auditor is not None:
-                    self.auditor.assert_clean(self.broker)
                 reply = SubAckMessage(request_id=message.request_id, sid=message.sid)
             else:
                 reply = SubAckMessage(
@@ -822,30 +778,18 @@ class BrokerRuntime:
     # -- propagation periods ---------------------------------------------------
 
     async def period_act(self) -> Optional[int]:
-        """This broker's one Algorithm-2 transmission for the period: pick
-        the target with the shared policy, fold and send through
-        :meth:`~repro.broker.broker.SummaryBroker.act_period`.  Returns the
-        target (None when no eligible neighbor exists)."""
-        broker = self.broker
-        target = select_period_target(self.topology, broker, self.policy)
-        frame = broker.act_period(target)
-        if frame is not None:
-            if self.tracer.enabled:
-                self.tracer.record(
-                    "summary_send", broker=self.broker_id,
-                    trace_id=self.periods_run + 1, target=target,
-                    merged_brokers=len(broker.period.brokers),
-                )
-            self.network.send(self.broker_id, target, frame)
+        """This broker's one Algorithm-2 transmission for the period
+        (:meth:`BrokerCore.act`), pumped.  Returns the target (None when
+        no eligible neighbor exists)."""
+        target = self.core.act()
         await self._pump()
         return target
 
     def period_close(self) -> None:
         """Finish the period (merge its adds, apply its removals) and open
         the next."""
-        self.broker.finish_period()
+        self.core.finish_period()
         self.broker.begin_period()
-        self.periods_run += 1
         if self.auditor is not None:
             self.auditor.assert_clean(self.broker)
 
@@ -864,7 +808,7 @@ class BrokerRuntime:
         registry.gauge("runtime.frames_enqueued").set(self.frames_enqueued)
         registry.gauge("runtime.frames_processed").set(self.frames_processed)
         registry.gauge("runtime.frames_dropped").set(self.frames_dropped)
-        registry.gauge("runtime.periods_run").set(self.periods_run)
+        registry.gauge("runtime.periods_run").set(self.core.periods_run)
         registry.gauge("runtime.fallback_requests").set(self.broker.fallback_requests)
         registry.gauge("runtime.fallback_replies").set(self.broker.fallback_replies)
         registry.gauge("runtime.client_sessions").set(len(self._sessions))
@@ -875,7 +819,7 @@ class BrokerRuntime:
     def __repr__(self) -> str:
         return (
             f"BrokerRuntime(id={self.broker_id}, port={self.port}, "
-            f"subs={len(self.broker.store)}, periods={self.periods_run})"
+            f"subs={len(self.broker.store)}, periods={self.core.periods_run})"
         )
 
 

@@ -13,31 +13,27 @@ experiments and tests can swap systems.  Differences, by design:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 import networkx as nx
 
-from repro.broker.system import Delivery, PublishResult
+from repro.broker.core import DEFAULT_MAX_SUBSCRIPTIONS
+from repro.broker.system import Delivery, PublishResult, SimulatedSystem
 from repro.model.events import Event
-from repro.model.ids import IdCodec, SubscriptionId
+from repro.model.ids import SubscriptionId
 from repro.model.schema import Schema
 from repro.model.subscriptions import Subscription
-from repro.network.metrics import NetworkMetrics
 from repro.network.simulator import Network
 from repro.network.topology import Topology
 from repro.siena.broker import LOCAL_INTERFACE, SienaBroker
-from repro.wire.codec import ValueWidth, WireCodec
+from repro.wire.codec import ValueWidth
 from repro.wire.messages import (
     EventMessage,
     Message,
-    MessageCodec,
     SubscriptionBatchMessage,
 )
 
 __all__ = ["SienaPubSub"]
-
-DEFAULT_MAX_SUBSCRIPTIONS = 1 << 20
 
 
 class _Dispatcher:
@@ -49,7 +45,7 @@ class _Dispatcher:
         self._system._dispatch(self._broker_id, src, message)
 
 
-class SienaPubSub:
+class SienaPubSub(SimulatedSystem):
     """Covering-based comparator system on a (tree) overlay."""
 
     def __init__(
@@ -59,22 +55,10 @@ class SienaPubSub:
         value_width: ValueWidth = ValueWidth.F32,
         max_subscriptions: int = DEFAULT_MAX_SUBSCRIPTIONS,
     ):
+        super().__init__(topology, schema, max_subscriptions, value_width)
         self.full_topology = topology
         self.topology = self._routing_tree(topology)
-        self.schema = schema
-        self.id_codec = IdCodec(
-            num_brokers=topology.num_brokers,
-            max_subscriptions=max_subscriptions,
-            num_attributes=len(schema),
-        )
-        self.wire = WireCodec(schema, self.id_codec, value_width)
-        self.message_codec = MessageCodec(self.wire)
-
-        self.propagation_metrics = NetworkMetrics()
-        self.event_metrics = NetworkMetrics()
         self.network = Network(self.topology, self.message_codec, self.propagation_metrics)
-
-        self._delivery_log: List[Delivery] = []
         self.brokers: Dict[int, SienaBroker] = {}
         for broker_id in self.topology.brokers:
             broker = SienaBroker(
@@ -131,13 +115,7 @@ class SienaPubSub:
                 broker_id, target, EventMessage(event=event, brocli=frozenset())
             )
         self.network.run()
-        after = self.event_metrics.snapshot()
-        return PublishResult(
-            deliveries=self._delivery_log[mark:],
-            hops=after["hops"] - before["hops"],
-            messages=after["messages"] - before["messages"],
-            bytes_sent=after["bytes_sent"] - before["bytes_sent"],
-        )
+        return self._publish_result(before, mark)
 
     # -- measurement helpers ------------------------------------------------------
 
@@ -150,18 +128,6 @@ class SienaPubSub:
                 for subscription in covering_set:
                     total += self.wire.subscription_size(subscription)
         return total
-
-    def ground_truth_matches(self, event: Event) -> Set[Tuple[int, SubscriptionId]]:
-        matches: Set[Tuple[int, SubscriptionId]] = set()
-        for broker_id, broker in self.brokers.items():
-            for sid, subscription in broker.store.items():
-                if subscription.matches(event):
-                    matches.add((broker_id, sid))
-        return matches
-
-    @property
-    def delivery_log(self) -> List[Delivery]:
-        return list(self._delivery_log)
 
     # -- internals -------------------------------------------------------------------
 

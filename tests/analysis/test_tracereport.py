@@ -10,6 +10,9 @@ from repro.analysis.tracereport import (
     load_spans,
     main,
 )
+from repro.broker.system import SummaryPubSub
+from repro.model import Event, parse_subscription
+from repro.network import Topology
 from repro.obs.tracing import Span, Tracer
 
 
@@ -25,10 +28,10 @@ def publish_trace():
         # trace 1: 3 hops, 2 matches, 1 notify, 1 recheck, 1 delivery
         _span("publish", broker=0, trace_id=1, dur_us=100.0, seq=0),
         _span("route_hop", broker=0, trace_id=1, dur_us=10.0, seq=1),
-        _span("route_hop", broker=2, trace_id=1, dur_us=12.0, seq=2),
-        _span("route_hop", broker=5, trace_id=1, dur_us=14.0, seq=3),
-        _span("summary_match", broker=2, trace_id=1, dur_us=5.0, seq=4,
+        _span("route_hop", broker=2, trace_id=1, dur_us=12.0, seq=2,
               matched=2),
+        _span("route_hop", broker=5, trace_id=1, dur_us=14.0, seq=3),
+        _span("summary_match", broker=2, trace_id=1, dur_us=5.0, seq=4),
         _span("notify", broker=2, trace_id=1, seq=5, owner=5),
         _span("recheck", broker=5, trace_id=1, dur_us=3.0, seq=6,
               candidates=2, confirmed=1),
@@ -78,6 +81,19 @@ def test_publish_digests_sorted_slowest_first(publish_trace):
     assert slow.duration_us == pytest.approx(100.0)
     fast = report.publishes[1]
     assert (fast.hops, fast.matches, fast.deliveries) == (1, 0, 0)
+
+
+def test_burst_digests_count_each_events_matches(schema):
+    """A burst shares one ``summary_match`` span, but each publish's digest
+    counts its own event's matches (the ``matched`` of its ``route_hop``)."""
+    tracer = Tracer()
+    system = SummaryPubSub(Topology.line(2), schema, tracer=tracer)
+    system.subscribe(0, parse_subscription(schema, "price < 10"))
+    system.run_propagation_period()
+    result = system.publish_batch(0, [Event.of(price=1.0), Event.of(price=2.0)])
+    assert len(result.deliveries) == 2
+    digests = sorted(build_trace_report(tracer).publishes, key=lambda d: d.trace_id)
+    assert [d.matches for d in digests] == [1, 1]
 
 
 def test_render_contains_table_and_digest(publish_trace):

@@ -82,33 +82,33 @@ def run_period_with_midperiod_ops(system, mid_ops, live, acted=1):
     engine = system.propagation
     topology = system.network.topology
     system.network.metrics = system.propagation_metrics
-    for broker in engine.brokers.values():
+    for broker in system.brokers.values():
         broker.begin_period()
     acted = min(acted, topology.max_degree)
     late = False
 
     def inject():
-        before = {b: len(broker.pending) for b, broker in engine.brokers.items()}
+        before = {b: len(broker.pending) for b, broker in system.brokers.items()}
         apply_ops(system, mid_ops, live)
         return any(
             len(broker.pending) > before[b] and broker.period.acted
-            for b, broker in engine.brokers.items()
+            for b, broker in system.brokers.items()
         )
 
     if acted == 0:
         late = inject()
     for iteration in range(1, topology.max_degree + 1):
         for broker_id in topology.brokers_by_degree(iteration):
-            engine._act(engine.brokers[broker_id])
+            engine.cores[broker_id].act()
         if iteration == acted:
             late = inject()
         system.network.flush_iteration()
-    for _ in range(2 * len(engine.brokers) + 2):
+    for _ in range(2 * len(system.brokers) + 2):
         if not system.network.has_pending:
             break
         system.network.flush_iteration()
-    for broker in engine.brokers.values():
-        broker.finish_period()
+    for core in engine.cores.values():
+        core.finish_period()
     engine.periods_run += 1
     return late
 

@@ -82,6 +82,21 @@ def adv_system(schema):
 
 
 class TestAdvertisingSystem:
+    @pytest.mark.parametrize("suppress", [None, True])
+    def test_brokers_take_the_system_settings(self, schema, suppress):
+        """Every broker gets the system's dedup capacity and id space, and
+        covered-id suppression stays off (the dormant set replaces it)."""
+        extra = {} if suppress is None else {"suppress_covered": suppress}
+        system = AdvertisingPubSub(
+            Topology.line(2), schema, dedup_capacity=16, max_subscriptions=1 << 10,
+            **extra,
+        )
+        assert system.dedup_capacity == 16
+        for broker in system.brokers.values():
+            assert broker.dedup_capacity == 16
+            assert broker.store.max_subscriptions == 1 << 10
+            assert not broker.suppress_covered
+
     def test_unadvertised_subscription_stays_dormant(self, adv_system, schema):
         adv_system.subscribe(2, parse_subscription(schema, "price > 1"))
         assert adv_system.total_dormant() == 1
@@ -118,8 +133,12 @@ class TestAdvertisingSystem:
     def test_publish_enforces_advertisements(self, adv_system, schema):
         with pytest.raises(AdvertisementError):
             adv_system.publish(0, Event.of(price=5.0))
+        with pytest.raises(AdvertisementError):
+            adv_system.publish_batch(0, [Event.of(price=5.0)])
         adv_system.advertise(0, parse_subscription(schema, "price < 100"))
         adv_system.publish(0, Event.of(price=5.0))  # now fine
+        with pytest.raises(AdvertisementError):
+            adv_system.publish_batch(0, [Event.of(price=5.0), Event.of(price=500.0)])
 
     def test_enforcement_is_per_publisher(self, adv_system, schema):
         adv_system.advertise(0, parse_subscription(schema, "price < 100"))

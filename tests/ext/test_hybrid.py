@@ -1,11 +1,11 @@
-"""Hybrid summarization + subsumption (section-6 extension)."""
+"""Hybrid summarization + subsumption (section 6): covered-id suppression,
+on by default in every summary system."""
 
 import random
 
 import pytest
 
 from repro.broker.system import SummaryPubSub
-from repro.ext.hybrid import HybridPubSub
 from repro.model import Event, parse_subscription
 from repro.network import Topology, cable_wireless_24
 from repro.workload import WorkloadConfig, WorkloadGenerator
@@ -13,7 +13,7 @@ from repro.workload import WorkloadConfig, WorkloadGenerator
 
 class TestSuppression:
     def test_covered_subscription_not_propagated(self, schema):
-        system = HybridPubSub(Topology.line(3), schema)
+        system = SummaryPubSub(Topology.line(3), schema)
         system.subscribe(0, parse_subscription(schema, "price < 10"))
         system.run_propagation_period()
         # An idle period still ships (empty) summaries + Merged_Brokers;
@@ -29,7 +29,7 @@ class TestSuppression:
         assert system.total_suppressed() == 1
 
     def test_uncovered_subscription_propagates(self, schema):
-        system = HybridPubSub(Topology.line(3), schema)
+        system = SummaryPubSub(Topology.line(3), schema)
         system.subscribe(0, parse_subscription(schema, "price < 5"))
         system.run_propagation_period()
         before = system.propagation_metrics.bytes_sent
@@ -40,7 +40,7 @@ class TestSuppression:
 
 class TestDelivery:
     def test_covered_subscription_still_delivered(self, schema):
-        system = HybridPubSub(Topology.line(3), schema)
+        system = SummaryPubSub(Topology.line(3), schema)
         coverer = system.subscribe(2, parse_subscription(schema, "price < 10"))
         covered = system.subscribe(2, parse_subscription(schema, "price < 5"))
         system.run_propagation_period()
@@ -48,7 +48,7 @@ class TestDelivery:
         assert {d.sid for d in outcome.deliveries} == {coverer, covered}
 
     def test_event_matching_only_coverer(self, schema):
-        system = HybridPubSub(Topology.line(3), schema)
+        system = SummaryPubSub(Topology.line(3), schema)
         coverer = system.subscribe(2, parse_subscription(schema, "price < 10"))
         system.subscribe(2, parse_subscription(schema, "price < 5"))
         system.run_propagation_period()
@@ -58,7 +58,7 @@ class TestDelivery:
     def test_matches_oracle_on_covering_workload(self):
         config = WorkloadConfig(sigma=8, subsumption=0.9)
         generator = WorkloadGenerator(config, seed=23)
-        system = HybridPubSub(cable_wireless_24(), generator.schema)
+        system = SummaryPubSub(cable_wireless_24(), generator.schema)
         subs = []
         for broker_id in system.topology.brokers:
             for subscription in generator.subscriptions(config.sigma):
@@ -76,7 +76,7 @@ class TestDelivery:
 
 class TestChurnSafety:
     def test_frontier_removal_promotes_covered(self, schema):
-        system = HybridPubSub(Topology.line(3), schema)
+        system = SummaryPubSub(Topology.line(3), schema)
         coverer = system.subscribe(2, parse_subscription(schema, "price < 10"))
         covered = system.subscribe(2, parse_subscription(schema, "price < 5"))
         system.run_propagation_period()
@@ -86,7 +86,7 @@ class TestChurnSafety:
         assert {d.sid for d in outcome.deliveries} == {covered}
 
     def test_non_frontier_removal_is_plain(self, schema):
-        system = HybridPubSub(Topology.line(3), schema)
+        system = SummaryPubSub(Topology.line(3), schema)
         coverer = system.subscribe(2, parse_subscription(schema, "price < 10"))
         covered = system.subscribe(2, parse_subscription(schema, "price < 5"))
         system.run_propagation_period()
@@ -118,7 +118,7 @@ class TestBandwidthBenefit:
             system.run_propagation_period()
             return system.propagation_metrics.bytes_sent
 
-        hybrid_bytes = propagate(HybridPubSub)
+        hybrid_bytes = propagate(SummaryPubSub)
         # Suppression is on by default everywhere now; the "plain" side of
         # this ablation must pin it off to measure the benefit.
         plain_bytes = propagate(SummaryPubSub, suppress_covered=False)

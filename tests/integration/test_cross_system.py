@@ -13,7 +13,6 @@ import pytest
 
 from repro.baseline.broadcast import BroadcastPubSub
 from repro.broker.system import SummaryPubSub
-from repro.ext.hybrid import HybridPubSub
 from repro.network import Topology, cable_wireless_24
 from repro.siena.system import SienaPubSub
 from repro.summary import Precision
@@ -28,7 +27,6 @@ def build_all(topology, generator, sigma):
         "summary-exact": SummaryPubSub(
             topology, generator.schema, precision=Precision.EXACT
         ),
-        "hybrid": HybridPubSub(topology, generator.schema),
         "siena": SienaPubSub(topology, generator.schema),
         "broadcast": BroadcastPubSub(topology, generator.schema),
     }
