@@ -40,12 +40,7 @@ from repro.model import (
     stock_schema,
 )
 from repro.network import Network, Topology, cable_wireless_24, paper_example_tree
-from repro.runtime import (
-    BrokerRuntime,
-    LocalCluster,
-    ProducerSession,
-    SubscriberSession,
-)
+from repro import runtime as _runtime
 from repro.siena import SienaProbModel, SienaPubSub
 from repro.summary import (
     AACS,
@@ -61,6 +56,20 @@ from repro.summary import (
 from repro.workload import StockWorkload, WorkloadConfig, WorkloadGenerator
 
 __version__ = "1.0.0"
+
+#: The live runtime's classes load on first access (PEP 562), like
+#: :mod:`repro.runtime` itself, so ``python -m repro.runtime.server``
+#: does not find its module already imported by this package.
+_RUNTIME_EXPORTS = frozenset(
+    {"BrokerRuntime", "LocalCluster", "ProducerSession", "SubscriberSession"}
+)
+
+
+def __getattr__(name: str) -> object:
+    if name not in _RUNTIME_EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_runtime, name)
+
 
 __all__ = [
     "AACS",

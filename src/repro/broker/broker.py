@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from operator import attrgetter
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Collection, Dict, List, Optional, Set, Tuple
 
 from repro.model.events import Event
 from repro.model.ids import SubscriptionId
@@ -739,7 +739,7 @@ class SummaryBroker:
         )])
 
     def deliver(
-        self, sids: Set[SubscriptionId], event: Event, publish_id: int = 0
+        self, sids: Collection[SubscriptionId], event: Event, publish_id: int = 0
     ) -> Set[SubscriptionId]:
         """Owner-side delivery: exact match among the candidates, then one
         hand-off of every confirmed id to :attr:`on_delivery`.
@@ -805,7 +805,7 @@ class SummaryBroker:
                 )
         return set(order)
 
-    def _expand_dead(self, sids: Set[SubscriptionId]) -> Tuple[int, int]:
+    def _expand_dead(self, sids: Collection[SubscriptionId]) -> Tuple[int, int]:
         """Candidates of a notification naming an id that is not live:
         ``(candidate mask, distinct dead ids)``.
 
@@ -837,7 +837,7 @@ class SummaryBroker:
 
     def _check_owner_parity(
         self,
-        sids: Set[SubscriptionId],
+        sids: Collection[SubscriptionId],
         event: Event,
         order: List[SubscriptionId],
         false_positives: int,

@@ -174,7 +174,7 @@ class EventRouter:
             return True
         if isinstance(message, NotifyMessage):
             broker.deliver(
-                set(message.matched), message.event, publish_id=message.publish_id
+                message.matched, message.event, publish_id=message.publish_id
             )
             return True
         return False
@@ -282,8 +282,8 @@ class EventRouter:
             # Step 2: add this broker's Merged_Brokers (its own id included).
             brocli = brocli_in | merged | {own}
             # Step 3: notify owners — but only those not examined upstream.
-            fresh = {sid for sid in matched if sid.broker not in brocli_in}
-            self._notify_owners(broker, event, fresh, publish_id)
+            if matched:
+                self._notify_owners(broker, event, matched, brocli_in, publish_id)
             # Step 4: keep searching until every broker is examined.
             target = None
             if brocli != all_brokers:
@@ -309,11 +309,22 @@ class EventRouter:
         broker: SummaryBroker,
         event: Event,
         matched: Set[SubscriptionId],
+        examined: FrozenSet[int],
         publish_id: int,
     ) -> None:
-        by_owner: Dict[int, Set[SubscriptionId]] = {}
+        """Hand ``matched`` to its owners (``c1``), one group per owner in
+        one pass, skipping the ``examined`` owners: this broker delivers
+        its own group, every other owner gets one NOTIFY."""
+        by_owner: Dict[int, List[SubscriptionId]] = {}
         for sid in matched:
-            by_owner.setdefault(sid.broker, set()).add(sid)
+            owner = sid.broker
+            if owner in examined:
+                continue
+            group = by_owner.get(owner)
+            if group is None:
+                by_owner[owner] = [sid]
+            else:
+                group.append(sid)
         tracer = self.tracer
         for owner, sids in sorted(by_owner.items()):
             if owner == broker.broker_id:

@@ -17,13 +17,17 @@ attributes 3, 5 and 6 packs as ``10 | 001 | 0110100``.
 without any per-subscription state: an id matched by ``k`` satisfied
 attribute lists is a full match iff ``k == popcount(c3)`` (Algorithm 1,
 step 2).
+
+A :class:`SubscriptionId` is a tuple value: ids live in sets, dict keys
+and sorted lists all along the delivery path (Algorithm 3 groups matched
+ids by ``c1``), so hashing, equality and ordering are the tuple's, in C.
+An id equals, hashes and sorts like its plain ``(c1, c2, c3)`` tuple.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 __all__ = ["SubscriptionId", "IdCodec", "popcount"]
 
@@ -42,25 +46,36 @@ def popcount(mask: int) -> int:
     return mask.bit_count()
 
 
-@dataclass(frozen=True, order=True)
-class SubscriptionId:
-    """The decoded (c1, c2, c3) triple.
-
-    Instances are small, immutable and totally ordered so they can live in
-    the id lists of summary rows and be merged deterministically.
-    """
-
+class _IdFields(NamedTuple):
     broker: int  # c1
     local_id: int  # c2
     attr_mask: int  # c3
 
-    def __post_init__(self) -> None:
-        if self.broker < 0:
+
+class SubscriptionId(_IdFields):
+    """The decoded (c1, c2, c3) triple.
+
+    Instances are small, immutable and totally ordered so they can live in
+    the id lists of summary rows and be merged deterministically.  Hash,
+    equality and ordering are those of the ``(c1, c2, c3)`` tuple.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, broker: int, local_id: int, attr_mask: int) -> "SubscriptionId":
+        # Also runs on unpickling and copying, so no invalid id is ever built.
+        if broker < 0:
             raise ValueError("broker id (c1) must be non-negative")
-        if self.local_id < 0:
+        if local_id < 0:
             raise ValueError("local subscription id (c2) must be non-negative")
-        if self.attr_mask <= 0:
+        if attr_mask <= 0:
             raise ValueError("attribute mask (c3) must have at least one bit set")
+        return tuple.__new__(cls, (broker, local_id, attr_mask))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> "SubscriptionId":
+        # The tuple's own ``_make`` (and so ``_replace``) skips ``__new__``.
+        return cls(*iterable)
 
     @property
     def attribute_count(self) -> int:
@@ -103,8 +118,11 @@ class IdCodec:
         # The live id space is small (active subscriptions), so memoizing
         # the bytes<->sid conversions turns the per-id bit arithmetic of
         # every NOTIFY frame into a dict hit.  Bounded by wholesale clear.
-        self._sid_to_bytes: Dict[SubscriptionId, bytes] = {}
-        self._bytes_to_sid: Dict[bytes, SubscriptionId] = {}
+        # Hot loops read them with ``.get`` and fall back to
+        # :meth:`to_bytes` / :meth:`from_bytes` (which check and fill them)
+        # on a miss.
+        self.bytes_memo: Dict[SubscriptionId, bytes] = {}
+        self.sid_memo: Dict[bytes, SubscriptionId] = {}
 
     # -- int packing ---------------------------------------------------------------
 
@@ -136,23 +154,23 @@ class IdCodec:
     # -- byte packing ------------------------------------------------------------------
 
     def to_bytes(self, sid: SubscriptionId) -> bytes:
-        data = self._sid_to_bytes.get(sid)
+        data = self.bytes_memo.get(sid)
         if data is None:
             data = self.pack(sid).to_bytes(self.byte_size, "big")
-            if len(self._sid_to_bytes) >= 65536:
-                self._sid_to_bytes.clear()
-            self._sid_to_bytes[sid] = data
+            if len(self.bytes_memo) >= 65536:
+                self.bytes_memo.clear()
+            self.bytes_memo[sid] = data
         return data
 
     def from_bytes(self, data: bytes) -> SubscriptionId:
-        sid = self._bytes_to_sid.get(data)
+        sid = self.sid_memo.get(data)
         if sid is None:
             if len(data) != self.byte_size:
                 raise ValueError(f"expected {self.byte_size} bytes, got {len(data)}")
             sid = self.unpack(int.from_bytes(data, "big"))
-            if len(self._bytes_to_sid) >= 65536:
-                self._bytes_to_sid.clear()
-            self._bytes_to_sid[data] = sid
+            if len(self.sid_memo) >= 65536:
+                self.sid_memo.clear()
+            self.sid_memo[data] = sid
         return sid
 
     def pack_many(self, sids: Iterable[SubscriptionId]) -> bytes:

@@ -21,26 +21,40 @@ simulated contract and ``tests/runtime/test_parity.py`` for the proof
 that both substrates deliver identical event sets.
 """
 
-from repro.runtime.chaos import ChaosController, run_scenario_live
-from repro.runtime.client import ProducerSession, SubscriberSession, SubscribeError
-from repro.runtime.cluster import LocalCluster
-from repro.runtime.framing import (
-    FrameAssembler,
-    FrameConnection,
-    LENGTH_BYTES,
-    MAX_FRAME_BYTES,
-    encode_frame,
-    read_frame,
-    write_frame,
-)
-from repro.runtime.server import (
-    BrokerRuntime,
-    ClientSession,
-    DEFAULT_QUEUE_FRAMES,
-    PeerLink,
-    RuntimeNetwork,
-    named_topology,
-)
+from importlib import import_module
+
+#: Exported name -> the submodule that defines it.  Imported on first
+#: access (PEP 562), so ``python -m repro.runtime.server`` does not find
+#: its own module already imported by the package.
+_EXPORTS = {
+    "ChaosController": "chaos",
+    "run_scenario_live": "chaos",
+    "ProducerSession": "client",
+    "SubscriberSession": "client",
+    "SubscribeError": "client",
+    "LocalCluster": "cluster",
+    "FrameAssembler": "framing",
+    "FrameConnection": "framing",
+    "LENGTH_BYTES": "framing",
+    "MAX_FRAME_BYTES": "framing",
+    "encode_frame": "framing",
+    "read_frame": "framing",
+    "write_frame": "framing",
+    "BrokerRuntime": "server",
+    "ClientSession": "server",
+    "DEFAULT_QUEUE_FRAMES": "server",
+    "PeerLink": "server",
+    "RuntimeNetwork": "server",
+    "named_topology": "server",
+}
+
+
+def __getattr__(name: str) -> object:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
 
 __all__ = [
     "BrokerRuntime",

@@ -454,8 +454,9 @@ class WireCodec:
 
     def write_id_list(self, writer: ByteWriter, ids: Set[SubscriptionId]) -> None:
         writer.varint(len(ids))
-        for sid in sorted(ids):
-            writer.raw(self.id_codec.to_bytes(sid))
+        memo = self.id_codec.bytes_memo.get
+        to_bytes = self.id_codec.to_bytes
+        writer.raw(b"".join([memo(sid) or to_bytes(sid) for sid in sorted(ids)]))
 
     def read_id_list(self, reader: ByteReader) -> Set[SubscriptionId]:
         count = reader.varint()

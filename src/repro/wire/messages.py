@@ -546,8 +546,12 @@ class MessageCodec:
             stop = pos + count * size
             if stop > end:
                 raise _truncated(count * size, end - pos)
+            memo = id_codec.sid_memo.get
             from_bytes = id_codec.from_bytes
-            members = [from_bytes(data[at:at + size]) for at in range(pos, stop, size)]
+            members = [
+                memo(data[at:at + size]) or from_bytes(data[at:at + size])
+                for at in range(pos, stop, size)
+            ]
             pos = stop
         length, pos = varint_at(data, pos, end)
         stop = pos + length

@@ -1,5 +1,8 @@
 """Bit-packed subscription ids (paper section 3.2, figure 6)."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.model.ids import IdCodec, SubscriptionId, popcount
@@ -34,6 +37,58 @@ class TestSubscriptionId:
         ]
         ordered = sorted(ids)
         assert ordered[0].broker == 0 and ordered[0].local_id == 0
+
+
+class TestIdValue:
+    """An id is the value of its ``(c1, c2, c3)`` tuple."""
+
+    SID = SubscriptionId(broker=2, local_id=1, attr_mask=0b0110100)
+
+    def test_hash_is_the_triples(self):
+        assert hash(self.SID) == hash((2, 1, 0b0110100))
+
+    def test_equals_its_triple(self):
+        assert self.SID == (2, 1, 0b0110100)
+        assert {self.SID: "x"}[(2, 1, 0b0110100)] == "x"
+
+    @pytest.mark.parametrize("field", ["broker", "local_id", "attr_mask"])
+    def test_fields_are_read_only(self, field):
+        with pytest.raises(AttributeError):
+            setattr(self.SID, field, 3)
+
+    def test_replace_validates(self):
+        assert self.SID._replace(local_id=7) == (2, 7, 0b0110100)
+        with pytest.raises(ValueError):
+            self.SID._replace(attr_mask=0)
+
+    def test_no_instance_dict(self):
+        with pytest.raises(AttributeError):
+            self.SID.note = 1
+
+    def test_pickle_roundtrip(self):
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            clone = pickle.loads(pickle.dumps(self.SID, protocol))
+            assert clone == self.SID and type(clone) is SubscriptionId
+
+    def test_deepcopy_roundtrip(self):
+        clone = copy.deepcopy(self.SID)
+        assert clone == self.SID and type(clone) is SubscriptionId
+
+    @pytest.mark.parametrize("fields", [(-1, 0, 1), (0, -1, 1), (0, 0, 0)])
+    def test_unpickling_an_invalid_id_raises(self, fields):
+        forged = tuple.__new__(SubscriptionId, fields)  # skips validation
+        data = pickle.dumps(forged)
+        with pytest.raises(ValueError):
+            pickle.loads(data)
+
+    def test_sorted_orders_as_triples(self):
+        triples = [(1, 0, 1), (0, 5, 1), (0, 0, 3), (0, 5, 2), (2, 0, 1), (0, 0, 1)]
+        ids = [SubscriptionId(*triple) for triple in triples]
+        assert [tuple(sid) for sid in sorted(ids)] == sorted(triples)
+
+    def test_repr_and_str(self):
+        assert repr(self.SID) == "SubscriptionId(broker=2, local_id=1, attr_mask=52)"
+        assert str(self.SID) == "S(b2.1, c3=0x34)"
 
 
 class TestPopcount:

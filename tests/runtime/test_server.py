@@ -1,6 +1,10 @@
 """BrokerRuntime behavior: sessions, backpressure, periods, protocol rules."""
 
 import asyncio
+import os
+import pathlib
+import subprocess
+import sys
 from collections import deque
 
 import pytest
@@ -462,3 +466,22 @@ class TestPeriodMachinery:
                 await runtime.shutdown(drain=False)
 
         run(body())
+
+
+class TestCommandLine:
+    def test_help_runs_without_importing_the_server_twice(self):
+        """``python -m repro.runtime.server`` must not find its module
+        already imported by the packages above it (runpy warns then, and
+        the module runs as two copies)."""
+        src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        completed = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "repro.runtime.server", "--help"],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert completed.returncode == 0, completed.stderr[-2000:]
+        assert completed.stderr == ""
